@@ -16,11 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import AffineMap, BoundaryData
-from .mesh import BOUNDARY_REGIONS
+from .mesh import BOUNDARY_REGIONS, PATTERNS
 from .stepper import MeshSpec, RunConfig, count_steps
 from .tensors import Material, validate_material
-
-_PATTERNS = ("right", "left", "alternating")
 
 _SECTIONS = {
     "material": ("lambda", "mu", "eta", "alpha"),
@@ -146,9 +144,12 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         if len(parts) != count:
             fail(line_no, f"{key!r} needs {count} numbers, got {len(parts)}")
         try:
-            return np.array([float(p) for p in parts])
+            numbers = np.array([float(p) for p in parts])
         except ValueError:
             fail(line_no, f"{key!r} must be {count} numbers, got {value!r}")
+        if not np.all(np.isfinite(numbers)):
+            fail(line_no, f"{key!r} must be {count} finite numbers, got {value!r}")
+        return numbers
 
     def strict_int(s):
         if not (s.lstrip("+-").isdigit()):
@@ -186,8 +187,8 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     else:
         n = number("mesh", "n", convert=strict_int, kind="positive integer")
         pattern, pat_line = take("mesh", "pattern", default="alternating")
-        if pattern not in _PATTERNS:
-            fail(pat_line, f"'pattern' must be one of {', '.join(_PATTERNS)}, got {pattern!r}")
+        if pattern not in PATTERNS:
+            fail(pat_line, f"'pattern' must be one of {', '.join(PATTERNS)}, got {pattern!r}")
         if n < 1:
             raise ConfigError(f"{origin}: [mesh] n must be >= 1, got {n}")
         mesh = MeshSpec(n=n, pattern=pattern)

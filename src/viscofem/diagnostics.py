@@ -35,7 +35,6 @@ import numpy as np
 from .assembly import load_vector
 from .fields import BoundaryData, strain_field
 from .mesh import Mesh, MeshGeometry
-from .solver import SolverSettings
 from .tensors import Material, apply_C, ddot, stress
 
 _COMPONENTS = {(1, 1): 0, (2, 2): 1, (1, 2): 2, (2, 1): 2}
@@ -157,7 +156,6 @@ def gradient_flow_check(
     direction: np.ndarray,
     eps: float = 1e-5,
     geom: MeshGeometry | None = None,
-    settings: SolverSettings | None = None,
     x0=None,
 ) -> GradientFlowCheck:
     """Check the gradient-flow identity for one consecutive pair (phi_prev, phi).
@@ -173,7 +171,7 @@ def gradient_flow_check(
     load = load_vector(geom, bd)
 
     def reduced_energy(tensor_field):
-        u = equilibrium_solve(mesh, m, tensor_field, bd, geom=geom, settings=settings, x0=x0)
+        u = equilibrium_solve(mesh, m, tensor_field, bd, geom=geom, x0=x0)
         return energy(geom, m, u, tensor_field, bd, load=load).total
 
     e_plus = reduced_energy(phi + eps * psi)
@@ -182,7 +180,7 @@ def gradient_flow_check(
 
     flow_lhs = (m.eta / tau) * psi_inner(geom, np.asarray(phi) - np.asarray(phi_prev), psi)
 
-    u_at_phi = equilibrium_solve(mesh, m, phi, bd, geom=geom, settings=settings, x0=x0)
+    u_at_phi = equilibrium_solve(mesh, m, phi, bd, geom=geom, x0=x0)
     sigma = stress(m, strain_field(geom, u_at_phi), phi)
     derivative = psi_inner(geom, m.alpha * np.asarray(phi) - sigma, psi)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import GAMMA0, ElementGeometry, Mesh, MeshGeometry
+from .mesh import GAMMA0, Mesh, MeshGeometry
 
 
 @dataclass(frozen=True)
@@ -122,19 +122,6 @@ def zero_tensor_field(mesh: Mesh) -> np.ndarray:
 def interpolate(mesh: Mesh, func) -> np.ndarray:
     """Nodal interpolation of a (vectorized) map R^2 -> R^2."""
     return np.asarray(func(mesh.nodes), dtype=float).reshape(mesh.n_nodes, 2)
-
-
-def strain_of(geom: ElementGeometry, u: np.ndarray, triangle) -> np.ndarray:
-    """Strain (xx, yy, xy) of the P1 field u on one element.
-
-    triangle is the node index triple of the element geom was computed for.
-    """
-    ul = np.asarray(u, dtype=float)[np.asarray(triangle)]
-    g = geom.grads
-    exx = ul[:, 0] @ g[:, 0]
-    eyy = ul[:, 1] @ g[:, 1]
-    exy = 0.5 * (ul[:, 0] @ g[:, 1] + ul[:, 1] @ g[:, 0])
-    return np.array([exx, eyy, exy])
 
 
 def strain_field(geom: MeshGeometry, u: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 GAMMA0 = 0  # Dirichlet boundary label
 GAMMA1 = 1  # traction boundary label
 
-_PATTERNS = ("right", "left", "alternating")
+PATTERNS = ("right", "left", "alternating")
 
 # Relative area floor below which a triangle counts as degenerate.
 _DEGENERATE_REL = 1e-14
@@ -66,14 +66,6 @@ class Mesh:
         return np.hypot(d[:, 0], d[:, 1])
 
 
-@dataclass(frozen=True)
-class ElementGeometry:
-    """P1 geometry of one triangle: area and the three basis gradients."""
-
-    area: float
-    grads: np.ndarray  # (3, 2), grads[i] is the gradient of barycentric i
-
-
 def build_unit_square(n: int, pattern: str = "alternating") -> Mesh:
     """Structured triangulation of (0,1)^2 with n divisions per side.
 
@@ -84,8 +76,8 @@ def build_unit_square(n: int, pattern: str = "alternating") -> Mesh:
     """
     if n < 1:
         raise ValueError(f"side division count must be >= 1, got n={n}")
-    if pattern not in _PATTERNS:
-        raise ValueError(f"unknown pattern {pattern!r}, expected one of {_PATTERNS}")
+    if pattern not in PATTERNS:
+        raise ValueError(f"unknown pattern {pattern!r}, expected one of {PATTERNS}")
 
     xs = np.linspace(0.0, 1.0, n + 1)
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
@@ -171,27 +163,6 @@ def boundary_predicate(region: str):
     return lambda p: GAMMA0 if inside(p) else GAMMA1
 
 
-def element_geometry(mesh: Mesh, k: int) -> ElementGeometry:
-    """Area and barycentric gradients of triangle k."""
-    p = mesh.nodes[mesh.triangles[k]]
-    return _geometry_of(p)
-
-
-def _geometry_of(p: np.ndarray) -> ElementGeometry:
-    d1, d2 = p[1] - p[0], p[2] - p[0]
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    scale = max(np.abs(p).max() ** 2, 1.0)
-    if det <= _DEGENERATE_REL * scale:
-        raise ValueError(f"degenerate or negatively oriented triangle, doubled area {det}")
-    # gradient of barycentric i from the opposite edge (j, k), cyclic
-    g = np.empty((3, 2))
-    for i in range(3):
-        pj, pk = p[(i + 1) % 3], p[(i + 2) % 3]
-        g[i, 0] = (pj[1] - pk[1]) / det
-        g[i, 1] = (pk[0] - pj[0]) / det
-    return ElementGeometry(area=0.5 * det, grads=g)
-
-
 class MeshGeometry:
     """Vectorized per-element geometry for the whole mesh.
 
@@ -256,6 +227,10 @@ def _check_conforming(mesh: Mesh) -> None:
         )
     if mesh.edges.size and (mesh.edges.min() < 0 or mesh.edges.max() >= nn):
         raise MeshFormatError("boundary edge node index out of range")
+    # a node outside every triangle has no stiffness: its rows of the system are zero
+    unused = np.setdiff1d(np.arange(nn), mesh.triangles)
+    if unused.size:
+        raise MeshFormatError(f"node {int(unused[0])} belongs to no triangle")
 
     # every undirected edge must belong to one triangle (boundary) or two
     counts: dict[tuple[int, int], int] = {}

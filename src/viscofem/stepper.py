@@ -28,7 +28,7 @@ from . import diagnostics
 from .assembly import apply_dirichlet, assemble_rhs, assemble_stiffness, load_vector, tensor_load
 from .fields import BoundaryData, build_dirichlet, strain_field, zero_tensor_field
 from .mesh import GAMMA0, Mesh, MeshGeometry, boundary_predicate, build_unit_square, classify_boundary, load_mesh
-from .solver import SolverSettings, solve_spd
+from .solver import solve_spd
 from .tensors import Material, StepParams, apply_C, apply_relax_inv, validate_material
 
 
@@ -96,7 +96,10 @@ def count_steps(t_end: float, tau: float) -> int:
     """
     if not (0.0 < tau <= t_end):
         raise ValueError(f"need 0 < tau <= T, got tau = {tau}, T = {t_end}")
-    return int(math.floor(t_end / tau * (1.0 + 1e-12)))
+    steps = t_end / tau * (1.0 + 1e-12)
+    if not math.isfinite(steps):
+        raise ValueError(f"T / tau is not finite, got tau = {tau}, T = {t_end}")
+    return int(math.floor(steps))
 
 
 @dataclass
@@ -129,8 +132,7 @@ class Simulation:
     (used by tests running on tiny hand-built meshes).
     """
 
-    def __init__(self, cfg: RunConfig, mesh: Mesh | None = None,
-                 settings: SolverSettings | None = None):
+    def __init__(self, cfg: RunConfig, mesh: Mesh | None = None):
         validate_material(cfg.material)
         self.config = cfg
         self.material = cfg.material
@@ -148,7 +150,6 @@ class Simulation:
         self.mesh = mesh
         self.geom = MeshGeometry(mesh)
         self.bc = cfg.bc
-        self.settings = settings if settings is not None else SolverSettings()
 
         self.dirichlet = build_dirichlet(mesh, cfg.bc.g)
         self.load = load_vector(self.geom, cfg.bc)
@@ -160,7 +161,7 @@ class Simulation:
 
     def _solve(self, system, rhs, x0, what: str, k: int) -> tuple[np.ndarray, object]:
         reduced = system.reduce_rhs(rhs)
-        x, rep = solve_spd(system, reduced, self.settings, x0=x0)
+        x, rep = solve_spd(system, reduced, x0=x0)
         if not rep.converged:
             raise SolverError(
                 f"{what} solve failed at step {k}: residual {rep.residual:.3e} "
@@ -261,9 +262,8 @@ def default_sample_steps(n_steps: int) -> tuple[int, ...]:
     return tuple(sorted({max(1, n_steps // 10), max(1, n_steps // 2), n_steps}))
 
 
-def run(cfg: RunConfig, phi0=None, sample_steps=None,
-        settings: SolverSettings | None = None) -> RunResult:
-    sim = Simulation(cfg, settings=settings)
+def run(cfg: RunConfig, phi0=None, sample_steps=None) -> RunResult:
+    sim = Simulation(cfg)
     if sample_steps is None:
         sample_steps = default_sample_steps(cfg.n_steps)
     return sim.run(phi0=phi0, sample_steps=sample_steps)
@@ -275,7 +275,6 @@ def equilibrium_solve(
     phi,
     bd: BoundaryData,
     geom: MeshGeometry | None = None,
-    settings: SolverSettings | None = None,
     x0=None,
 ) -> np.ndarray:
     """Displacement minimizing the energy at a frozen tensor field phi.
@@ -288,7 +287,7 @@ def equilibrium_solve(
     system = assemble_stiffness(geom, m)
     rhs = assemble_rhs(geom, m, phi, bd)
     system, rhs = apply_dirichlet(system, rhs, ds)
-    x, rep = solve_spd(system, rhs, settings, x0=x0)
+    x, rep = solve_spd(system, rhs, x0=x0)
     if not rep.converged:
         raise SolverError(
             f"equilibrium solve failed: residual {rep.residual:.3e} "

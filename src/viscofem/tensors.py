@@ -48,45 +48,6 @@ IDENTITY = np.array([1.0, 1.0, 0.0])
 
 
 @dataclass(frozen=True)
-class SymTensor2:
-    """Symmetric 2x2 tensor, stored as the matrix [[xx, xy], [xy, yy]].
-
-    Symmetry is structural: only the three independent components exist.
-    Instances convert transparently to their 3-vector form via np.asarray,
-    so they can be fed to any operator in this module.
-    """
-
-    xx: float
-    yy: float
-    xy: float
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.xx, self.yy, self.xy], dtype=dtype or float)
-
-    @classmethod
-    def from_array(cls, a) -> "SymTensor2":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (3,):
-            raise ValueError(f"expected 3 components (xx, yy, xy), got shape {a.shape}")
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    @classmethod
-    def from_matrix(cls, m, tol: float = 1e-12) -> "SymTensor2":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if abs(m[0, 1] - m[1, 0]) > tol * max(1.0, abs(m[0, 1])):
-            raise ValueError("matrix is not symmetric")
-        return cls(m[0, 0], m[1, 1], 0.5 * (m[0, 1] + m[1, 0]))
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.xx, self.xy], [self.xy, self.yy]])
-
-    def trace(self) -> float:
-        return self.xx + self.yy
-
-
-@dataclass(frozen=True)
 class Material:
     """Isotropic material: Lame pair (lam, mu), viscosity eta, relaxation alpha.
 

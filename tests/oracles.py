@@ -68,6 +68,12 @@ def apply_matrix(matrix, x) -> np.ndarray:
     return to_float(matrix) @ np.asarray(x, dtype=float)
 
 
+def as_matrix(x) -> np.ndarray:
+    """The symmetric 2x2 matrix [[xx, xy], [xy, yy]] of a stored tensor."""
+    xx, yy, xy = np.asarray(x, dtype=float)
+    return np.array([[xx, xy], [xy, yy]])
+
+
 def dense_spd_solve(A, b) -> np.ndarray:
     """Reference dense solve used against the iterative solver."""
     A = np.asarray(A, dtype=float)

@@ -115,6 +115,9 @@ class TestRejections:
         (dict(replace=(12, "gamma0 = file")), 12, "requires a mesh loaded from 'path'"),
         (dict(replace=(13, "g = 1.0 0.0")), 13, "'g' needs 6 numbers"),
         (dict(replace=(13, "g = a b c d e f")), 13, "must be 6 numbers"),
+        (dict(replace=(13, "g = nan 0 0 0 0 0")), 13, "'g' must be 6 finite numbers"),
+        (dict(insert=(13, "f = inf 0")), 14, "'f' must be 2 finite numbers"),
+        (dict(insert=(13, "q = 0 -inf")), 14, "'q' must be 2 finite numbers"),
     ]
 
     @pytest.mark.parametrize("edit,line,fragment", CASES)
@@ -133,6 +136,9 @@ class TestRejections:
         (dict(replace=(7, "tau = 0.2")), "invalid [time]"),
         (dict(drop=4), "missing key 'eta'"),
         (dict(replace=(16, "cadence = -2")), "cadence must be >= 0"),
+        (dict(replace=(8, "T = inf")), "T / tau is not finite"),
+        (dict(replace=(8, "T = 1e308")), "T / tau is not finite"),
+        (dict(replace=(7, "tau = 1e-320")), "T / tau is not finite"),
     ]
 
     @pytest.mark.parametrize("edit,fragment", UNANCHORED)
@@ -298,6 +304,28 @@ class TestCommandLine:
         path.write_text(edited(replace=(7, "tau = 0.2")))
         assert main(["check-config", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_check_config_non_finite_step_count(self, capsys, tmp_path):
+        path = tmp_path / "long.cfg"
+        path.write_text(edited(replace=(8, "T = inf")))
+        assert main(["check-config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "invalid [time]" in err
+        assert "Traceback" not in err
+
+    def test_solve_rejects_node_outside_every_triangle(self, capsys, tmp_path):
+        mesh_path = tmp_path / "stray.mesh"
+        mesh_path.write_text(
+            "nodes 4\n0 0\n1 0\n0 1\n5 5\n"
+            "triangles 1\n0 1 2\n"
+            "boundary 3\n0 1 0\n1 2 1\n2 0 0\n"
+        )
+        path = tmp_path / "stray.cfg"
+        path.write_text(edited(replace=(10, f"path = {mesh_path}")))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "node 3 belongs to no triangle" in err
+        assert err.count("\n") == 1
 
     def test_check_config_missing_file(self, capsys, tmp_path):
         assert main(["check-config", str(tmp_path / "absent.cfg")]) == 1

@@ -11,7 +11,6 @@ from viscofem.fields import (
     build_dirichlet,
     interpolate,
     strain_field,
-    strain_of,
     zero_displacement,
     zero_tensor_field,
 )
@@ -22,7 +21,6 @@ from viscofem.mesh import (
     MeshGeometry,
     build_unit_square,
     classify_boundary,
-    element_geometry,
 )
 
 from test_mesh import sides, top
@@ -55,16 +53,6 @@ class TestStrain:
         rotation = interpolate(mesh, AffineMap([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0]))
         assert_allclose(strain_field(geom, translation), 0.0, atol=1e-14)
         assert_allclose(strain_field(geom, rotation), 0.0, atol=1e-14)
-
-    def test_per_element_matches_vectorized(self):
-        rng = np.random.default_rng(22)
-        mesh = build_unit_square(3)
-        geom = MeshGeometry(mesh)
-        u = rng.standard_normal((mesh.n_nodes, 2))
-        e = strain_field(geom, u)
-        for k in range(mesh.n_triangles):
-            single = strain_of(element_geometry(mesh, k), u, mesh.triangles[k])
-            assert_allclose(e[k], single, rtol=1e-14, atol=1e-15)
 
 
 class TestDirichlet:

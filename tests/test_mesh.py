@@ -12,7 +12,6 @@ from viscofem.mesh import (
     MeshGeometry,
     build_unit_square,
     classify_boundary,
-    element_geometry,
     load_mesh,
     save_mesh,
 )
@@ -28,6 +27,16 @@ def sides(p):
 
 def everywhere(p):
     return GAMMA0
+
+
+def one_triangle(points) -> Mesh:
+    """Mesh of the single triangle (0, 1, 2) with the given vertices."""
+    return Mesh(
+        nodes=np.asarray(points, dtype=float),
+        triangles=np.array([[0, 1, 2]]),
+        edges=np.array([[0, 1], [1, 2], [2, 0]]),
+        edge_labels=np.array([GAMMA1, GAMMA1, GAMMA0]),
+    )
 
 
 class TestBuild:
@@ -114,15 +123,9 @@ class TestClassify:
 
 class TestGeometry:
     def test_reference_triangle(self):
-        mesh = Mesh(
-            nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-            triangles=np.array([[0, 1, 2]]),
-            edges=np.array([[0, 1], [1, 2], [2, 0]]),
-            edge_labels=np.array([GAMMA1, GAMMA1, GAMMA0]),
-        )
-        g = element_geometry(mesh, 0)
-        assert g.area == pytest.approx(0.5)
-        assert_allclose(g.grads, [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+        geom = MeshGeometry(one_triangle([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        assert geom.areas[0] == pytest.approx(0.5)
+        assert_allclose(geom.grads[0], [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
     def test_gradients_reproduce_barycentric_deltas(self):
         # grad of barycentric i dotted with (p_j - p_i) must be -1 for j != i
@@ -138,22 +141,14 @@ class TestGeometry:
             edge_labels=mesh.edge_labels,
         )
         for k in range(mesh.n_triangles):
-            g = element_geometry(mesh, k)
             p = mesh.nodes[mesh.triangles[k]]
+            grads = MeshGeometry(one_triangle(p)).grads[0]
             for i in range(3):
                 for j in range(3):
                     expected = 1.0 if i == j else 0.0
                     # barycentric i is affine with value delta_ij at vertex j
-                    got = g.grads[i] @ (p[j] - p[0]) + (1.0 if i == 0 else 0.0)
+                    got = grads[i] @ (p[j] - p[0]) + (1.0 if i == 0 else 0.0)
                     assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_vectorized_matches_per_element(self):
-        mesh = build_unit_square(3, pattern="alternating")
-        geom = MeshGeometry(mesh)
-        for k in range(mesh.n_triangles):
-            single = element_geometry(mesh, k)
-            assert geom.areas[k] == pytest.approx(single.area, rel=1e-15)
-            assert_allclose(geom.grads[k], single.grads, rtol=1e-15)
 
     def test_strain_basis_layout(self):
         mesh = build_unit_square(2)
@@ -168,14 +163,9 @@ class TestGeometry:
         assert np.all(geom.dofs[:, 1::2] == 2 * mesh.triangles + 1)
 
     def test_degenerate_triangle_rejected(self):
-        mesh = Mesh(
-            nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
-            triangles=np.array([[0, 1, 2]]),
-            edges=np.array([[0, 1], [1, 2], [2, 0]]),
-            edge_labels=np.array([0, 1, 1]),
-        )
+        mesh = one_triangle([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="degenerate"):
-            element_geometry(mesh, 0)
+            MeshGeometry(mesh)
 
 
 class TestTextFormat:
@@ -210,7 +200,8 @@ class TestTextFormat:
             "boundary 3\n0 1 1\n1 2 1\n2 0 0\n"
         )
         mesh = load_mesh(path)
-        assert element_geometry(mesh, 0).area == pytest.approx(0.5)
+        assert list(mesh.triangles[0]) == [0, 1, 2]
+        assert MeshGeometry(mesh).areas[0] == pytest.approx(0.5)
 
     def test_out_of_range_index(self, tmp_path):
         path = tmp_path / "mesh.txt"
@@ -270,6 +261,16 @@ class TestTextFormat:
             "boundary 3\n0 1 1\n1 2 5\n2 0 0\n"
         )
         with pytest.raises(MeshFormatError, match=r"mesh\.txt:9"):
+            load_mesh(path)
+
+    def test_node_outside_every_triangle_rejected(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text(
+            "nodes 4\n0 0\n1 0\n0 1\n5 5\n"
+            "triangles 1\n0 1 2\n"
+            "boundary 3\n0 1 1\n1 2 1\n2 0 0\n"
+        )
+        with pytest.raises(MeshFormatError, match=r"mesh\.txt: node 3 belongs to no triangle"):
             load_mesh(path)
 
     def test_truncated_file(self, tmp_path):

@@ -23,7 +23,6 @@ from viscofem.tensors import (
     IDENTITY,
     Material,
     StepParams,
-    SymTensor2,
     apply_C,
     apply_C_eff,
     apply_relax,
@@ -37,6 +36,7 @@ from viscofem.tensors import (
 
 from oracles import (
     apply_matrix,
+    as_matrix,
     effective_matrix,
     elasticity_matrix,
     step_inverse_matrix,
@@ -63,7 +63,7 @@ def random_material(rng):
 
 class TestPinnedValues:
     def test_elasticity_uniaxial(self):
-        out = apply_C(UNIT, SymTensor2(1.0, 0.0, 0.0))
+        out = apply_C(UNIT, np.array([1.0, 0.0, 0.0]))
         assert_allclose(out, [3.0, 1.0, 0.0], rtol=0, atol=0)
 
     def test_step_inverse_identity(self):
@@ -181,8 +181,7 @@ class TestProperties:
         X, Y = random_tensors(rng, 200), random_tensors(rng, 200)
         assert_allclose(ddot(X, Y), ddot(Y, X), rtol=0, atol=0)
         for x, y in zip(X[:20], Y[:20]):
-            tx, ty = SymTensor2.from_array(x), SymTensor2.from_array(y)
-            assert ddot(x, y) == pytest.approx(np.trace(tx.as_matrix() @ ty.as_matrix()), rel=1e-14)
+            assert ddot(x, y) == pytest.approx(np.trace(as_matrix(x) @ as_matrix(y)), rel=1e-14)
 
     def test_ddot_positive_definite(self):
         rng = np.random.default_rng(4)
@@ -229,21 +228,11 @@ class TestProperties:
 
 
 # ---------------------------------------------------------------------------
-# value type and validation
+# validation
 # ---------------------------------------------------------------------------
 
 
 class TestTypes:
-    def test_symtensor_matrix_round_trip(self):
-        t = SymTensor2(1.5, -0.25, 0.75)
-        assert SymTensor2.from_matrix(t.as_matrix()) == t
-        assert SymTensor2.from_array(np.asarray(t)) == t
-        assert t.trace() == pytest.approx(1.25)
-
-    def test_symtensor_rejects_asymmetric_matrix(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            SymTensor2.from_matrix(np.array([[1.0, 2.0], [0.5, 3.0]]))
-
     def test_validate_accepts_admissible(self):
         validate_material(Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0))
         # lam may be negative as long as lam > -mu in 2d
