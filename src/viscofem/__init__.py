@@ -1,156 +1,26 @@
-"""Structure-preserving P1/P0 solver for an extended Maxwell viscoelastic model."""
+"""Structure-preserving P1/P0 solver for an extended Maxwell viscoelastic model.
 
-from .assembly import (
-    SparseSPD,
-    apply_dirichlet,
-    assemble_rhs,
-    assemble_stiffness,
-    load_vector,
-    tensor_load,
-)
-from .config import (
-    ConfigError,
-    config_text,
-    parse_config,
-    parse_config_text,
-    preset_config,
-    write_config,
-)
-from .diagnostics import (
-    EnergyReport,
-    GradientFlowCheck,
-    VerificationReport,
-    energy,
-    energy_identity_residual,
-    gradient_flow_check,
-    scheme_residual,
-    stress_components_linf,
-    stress_linf,
-    verify_result,
-)
-from .fields import (
-    AffineMap,
-    BoundaryData,
-    DirichletSet,
-    build_dirichlet,
-    interpolate,
-    strain_field,
-    zero_displacement,
-    zero_tensor_field,
-)
-from .mesh import (
-    BOUNDARY_REGIONS,
-    GAMMA0,
-    GAMMA1,
-    Mesh,
-    MeshFormatError,
-    MeshGeometry,
-    boundary_predicate,
-    build_unit_square,
-    classify_boundary,
-    load_mesh,
-    save_mesh,
-)
+The package namespace holds what a run needs: configuration, the
+simulation driver, verification and output. Everything else (operators,
+assembly, solver, individual diagnostics) is imported from its submodule.
+"""
+
+from .config import ConfigError, config_text, parse_config, preset_config
+from .diagnostics import verify_result
+from .mesh import MeshFormatError
 from .outputs import write_outputs
-from .solver import SolveReport, solve_spd
-from .stepper import (
-    MeshSpec,
-    RunConfig,
-    RunResult,
-    Simulation,
-    SimulationState,
-    SolverError,
-    StepReport,
-    count_steps,
-    default_sample_steps,
-    equilibrium_solve,
-    run,
-)
-from .tensors import (
-    DDOT_WEIGHTS,
-    DIM,
-    IDENTITY,
-    Material,
-    StepParams,
-    apply_C,
-    apply_C_eff,
-    apply_relax,
-    apply_relax_inv,
-    c_inner,
-    ddot,
-    stress,
-    tensor_trace,
-    validate_material,
-)
+from .stepper import Simulation, SolverError, default_sample_steps, run
 
 __all__ = [
-    "AffineMap",
-    "BOUNDARY_REGIONS",
-    "BoundaryData",
     "ConfigError",
-    "DDOT_WEIGHTS",
-    "DIM",
-    "DirichletSet",
-    "EnergyReport",
-    "GAMMA0",
-    "GAMMA1",
-    "GradientFlowCheck",
-    "IDENTITY",
-    "Material",
-    "Mesh",
     "MeshFormatError",
-    "MeshGeometry",
-    "MeshSpec",
-    "RunConfig",
-    "RunResult",
     "Simulation",
-    "SimulationState",
-    "SolveReport",
     "SolverError",
-    "SparseSPD",
-    "StepParams",
-    "StepReport",
-    "VerificationReport",
-    "apply_C",
-    "apply_C_eff",
-    "apply_dirichlet",
-    "apply_relax",
-    "apply_relax_inv",
-    "assemble_rhs",
-    "assemble_stiffness",
-    "boundary_predicate",
-    "build_dirichlet",
-    "build_unit_square",
-    "c_inner",
-    "classify_boundary",
     "config_text",
-    "count_steps",
-    "ddot",
     "default_sample_steps",
-    "energy",
-    "energy_identity_residual",
-    "equilibrium_solve",
-    "gradient_flow_check",
-    "interpolate",
-    "load_mesh",
-    "load_vector",
     "parse_config",
-    "parse_config_text",
     "preset_config",
     "run",
-    "save_mesh",
-    "scheme_residual",
-    "solve_spd",
-    "strain_field",
-    "stress",
-    "stress_components_linf",
-    "stress_linf",
-    "tensor_load",
-    "tensor_trace",
-    "validate_material",
     "verify_result",
-    "write_config",
     "write_outputs",
-    "zero_displacement",
-    "zero_tensor_field",
 ]

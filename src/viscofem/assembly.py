@@ -24,7 +24,7 @@ import scipy.sparse as sparse
 
 from .fields import BoundaryData, DirichletSet
 from .mesh import GAMMA1, MeshGeometry
-from .tensors import DDOT_WEIGHTS, Material, StepParams, apply_C, apply_C_eff, apply_relax_inv
+from .tensors import DDOT_WEIGHTS, Lame, Material, apply_C
 
 
 @dataclass
@@ -55,19 +55,16 @@ class SparseSPD:
         return out
 
 
-def assemble_stiffness(geom: MeshGeometry, m: Material, step: StepParams | None = None) -> SparseSPD:
-    """Stiffness for the elastic form (step=None) or the condensed one.
+def assemble_stiffness(geom: MeshGeometry, pair: Lame | Material) -> SparseSPD:
+    """Stiffness of the isotropic operator T of a Lame pair.
 
-    Entries are (T e[v_i], e[v_j]) summed over elements, T the elasticity
-    tensor or the condensed per-step operator. Element matrices are
-    symmetrized before scatter so the assembled matrix is exactly equal to
-    its transpose.
+    Entries are (T e[v_i], e[v_j]) summed over elements; T is the elasticity
+    tensor for a Material and the condensed operator for
+    StepParams.condensed. Element matrices are symmetrized before scatter so
+    the assembled matrix is exactly equal to its transpose.
     """
     B = geom.strain_basis  # (m, 6, 3)
-    if step is None:
-        TB = apply_C(m, B)
-    else:
-        TB = apply_C_eff(m, step, B)
+    TB = apply_C(pair, B)
     Ke = np.einsum("eia,a,eja->eij", TB, DDOT_WEIGHTS, B) * geom.areas[:, None, None]
     Ke = 0.5 * (Ke + np.swapaxes(Ke, 1, 2))
 
@@ -122,26 +119,6 @@ def load_vector(geom: MeshGeometry, bd: BoundaryData) -> np.ndarray:
             np.add.at(out, 2 * edges[:, 0] + c, half * bd.q[c])
             np.add.at(out, 2 * edges[:, 1] + c, half * bd.q[c])
     return out
-
-
-def assemble_rhs(
-    geom: MeshGeometry,
-    m: Material,
-    phi: np.ndarray,
-    bd: BoundaryData,
-    step: StepParams | None = None,
-) -> np.ndarray:
-    """Right-hand side of the displacement solve.
-
-    step=None gives the elastic form (C phi, e[v]) + load, used by the
-    equilibrium solve. With step parameters it gives the condensed form
-    ((eta/tau) C R^-1 phi, e[v]) + load, used by the time step.
-    """
-    if step is None:
-        W = apply_C(m, phi)
-    else:
-        W = (m.eta / step.tau) * apply_C(m, apply_relax_inv(m, step, phi))
-    return tensor_load(geom, W) + load_vector(geom, bd)
 
 
 def apply_dirichlet(system: SparseSPD, rhs: np.ndarray, ds: DirichletSet) -> tuple[SparseSPD, np.ndarray]:

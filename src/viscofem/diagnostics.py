@@ -37,8 +37,6 @@ from .fields import BoundaryData, strain_field
 from .mesh import Mesh, MeshGeometry
 from .tensors import Material, apply_C, ddot, stress
 
-_COMPONENTS = {(1, 1): 0, (2, 2): 1, (1, 2): 2, (2, 1): 2}
-
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -48,7 +46,6 @@ class EnergyReport:
     elastic: float
     relax: float
     work: float
-    identity_residual: float = 0.0
 
 
 def psi_inner(geom: MeshGeometry, X, Y) -> float:
@@ -61,31 +58,26 @@ def c_inner_field(geom: MeshGeometry, m: Material, X, Y) -> float:
     return float(np.dot(geom.areas, ddot(apply_C(m, X), Y)))
 
 
-def work_functional(geom: MeshGeometry, bd: BoundaryData, u, load=None) -> float:
-    """The load functional l(u) = (f, u) + (q, u) on GAMMA1 (exact for P1 u)."""
-    if load is None:
-        load = load_vector(geom, bd)
-    return float(load @ np.asarray(u, dtype=float).ravel())
-
-
-def energy(geom: MeshGeometry, m: Material, u, phi, bd: BoundaryData, load=None) -> EnergyReport:
-    e = strain_field(geom, u)
+def energy(geom: MeshGeometry, m: Material, u, e, phi, load) -> EnergyReport:
+    """Energy of the state (u, phi); e is the strain of u and load the
+    assembled load vector, so l(u) = load . u."""
     gap = e - np.asarray(phi, dtype=float)
     elastic = 0.5 * c_inner_field(geom, m, gap, gap)
     relax = 0.5 * m.alpha * psi_inner(geom, phi, phi)
-    work = work_functional(geom, bd, u, load=load)
+    work = float(load @ np.asarray(u, dtype=float).ravel())
     return EnergyReport(total=elastic + relax - work, elastic=elastic, relax=relax, work=work)
 
 
-def energy_identity_terms(geom: MeshGeometry, m: Material, tau: float, prev, curr):
-    """The four pieces of the per-step energy identity.
+def energy_identity_terms(geom: MeshGeometry, m: Material, tau: float, prev, curr, e):
+    """The four pieces of the per-step energy identity; e is the strain of
+    curr.u, and only the strain of prev.u is computed here.
 
     Returns (dE, visc, relax_extra, elastic_extra): the difference quotient
     of the energy and the three nonnegative dissipation terms. The identity
     states dE + relax_extra + elastic_extra = -visc.
     """
     dphi = (curr.phi - prev.phi) / tau
-    gap_curr = strain_field(geom, curr.u) - curr.phi
+    gap_curr = e - curr.phi
     gap_prev = strain_field(geom, prev.u) - prev.phi
     dgap = (gap_curr - gap_prev) / tau
     dE = (curr.energy - prev.energy) / tau
@@ -95,9 +87,9 @@ def energy_identity_terms(geom: MeshGeometry, m: Material, tau: float, prev, cur
     return dE, visc, relax_extra, elastic_extra
 
 
-def energy_identity_residual(geom: MeshGeometry, m: Material, tau: float, prev, curr) -> float:
+def energy_identity_residual(geom: MeshGeometry, m: Material, tau: float, prev, curr, e) -> float:
     """Absolute defect of the per-step energy identity for a state pair."""
-    dE, visc, relax_extra, elastic_extra = energy_identity_terms(geom, m, tau, prev, curr)
+    dE, visc, relax_extra, elastic_extra = energy_identity_terms(geom, m, tau, prev, curr, e)
     return abs(dE + relax_extra + elastic_extra + visc)
 
 
@@ -108,24 +100,17 @@ def scheme_residual(m: Material, step, e, phi, phi_prev) -> float:
     construction, so anything beyond roundoff indicates a broken step.
     """
     resid = (
-        (m.eta / step.tau) * (np.asarray(phi) - np.asarray(phi_prev))
+        step.d * (np.asarray(phi) - np.asarray(phi_prev))
         + m.alpha * np.asarray(phi)
         - stress(m, e, phi)
     )
     return float(np.abs(resid).max())
 
 
-def stress_components_linf(geom: MeshGeometry, m: Material, u, phi) -> np.ndarray:
-    """Elementwise max of |sigma_xx|, |sigma_yy|, |sigma_xy| (exact for P0)."""
-    sigma = stress(m, strain_field(geom, u), phi)
-    return np.abs(sigma).max(axis=0)
-
-
-def stress_linf(geom: MeshGeometry, m: Material, u, phi, component=(1, 1)) -> float:
-    key = tuple(int(c) for c in component)
-    if key not in _COMPONENTS:
-        raise ValueError(f"unknown stress component {component}, expected pairs from (1,1),(2,2),(1,2)")
-    return float(stress_components_linf(geom, m, u, phi)[_COMPONENTS[key]])
+def stress_components_linf(m: Material, e, phi) -> np.ndarray:
+    """Elementwise max of |sigma_xx|, |sigma_yy|, |sigma_xy| (exact for P0);
+    e is the strain of the displacement."""
+    return np.abs(stress(m, e, phi)).max(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +157,7 @@ def gradient_flow_check(
 
     def reduced_energy(tensor_field):
         u = equilibrium_solve(mesh, m, tensor_field, bd, geom=geom, x0=x0)
-        return energy(geom, m, u, tensor_field, bd, load=load).total
+        return energy(geom, m, u, strain_field(geom, u), tensor_field, load).total
 
     e_plus = reduced_energy(phi + eps * psi)
     e_minus = reduced_energy(phi - eps * psi)

@@ -356,9 +356,12 @@ class _TokenReader:
     def take_float(self) -> float:
         tok, ln = self._take("a number")
         try:
-            return float(tok)
+            v = float(tok)
         except ValueError:
             raise MeshFormatError(f"{self.path}:{ln}: expected a number, got {tok!r}") from None
+        if not np.isfinite(v):
+            raise MeshFormatError(f"{self.path}:{ln}: expected a finite number, got {tok!r}")
+        return v
 
     def take_index(self) -> int:
         tok, ln = self._take("an integer")

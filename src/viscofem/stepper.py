@@ -3,18 +3,22 @@
 Each step solves one displacement system and then updates the internal
 tensor field elementwise:
 
-    solve   (C_eff e[u^k], e[v]) = (eta/tau * C R^-1 phi^{k-1}, e[v]) + l(v)
+    solve   (C_eff e[u^k], e[v]) = (drag phi^{k-1}, e[v]) + l(v)
     update  phi^k = R^-1 (C e[u^k] + eta/tau * phi^{k-1})
 
-R is the per-element step operator (eta/tau + alpha) I + C and C_eff the
-condensed stiffness C (I + R^-1 C); both are applied in closed form (see
-tensors). Substituting the update back into the balance equation recovers
-the coupled implicit system exactly, so the pair (u^k, phi^k) satisfies
-both equations to solver tolerance; scheme_residual tracks that per step.
+R is the per-element step operator (eta/tau + alpha) I + C, C_eff the
+condensed stiffness C (I - R^-1 C) and drag = eta/tau * C R^-1; all three
+are isotropic and applied as Lame pairs (see tensors). Substituting the
+update back into the balance equation recovers the coupled implicit system
+exactly, so the pair (u^k, phi^k) satisfies both equations to solver
+tolerance; scheme_residual tracks that per step.
 
 The displacement matrix and the load vector are constant in time, so a
 Simulation assembles and constrains them once and reuses them for every
-step. The solver is warm-started from the previous displacement.
+step. The solver is warm-started from the previous displacement. Each
+step computes the strain of the new displacement once and hands it to the
+update, the energy, the scheme residual, the energy identity and the
+stress norm.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics
-from .assembly import apply_dirichlet, assemble_rhs, assemble_stiffness, load_vector, tensor_load
+from .assembly import apply_dirichlet, assemble_stiffness, load_vector, tensor_load
 from .fields import BoundaryData, build_dirichlet, strain_field, zero_tensor_field
 from .mesh import GAMMA0, Mesh, MeshGeometry, boundary_predicate, build_unit_square, classify_boundary, load_mesh
 from .solver import solve_spd
-from .tensors import Material, StepParams, apply_C, apply_relax_inv, validate_material
+from .tensors import Material, StepParams, apply_C, validate_material
 
 
 class SolverError(RuntimeError):
@@ -54,6 +58,7 @@ class StepReport:
     scheme_residual: float
     identity_residual: float
     energy: diagnostics.EnergyReport
+    sigma_linf: np.ndarray  # (3,): max |sigma_xx|, |sigma_yy|, |sigma_xy|
 
 
 @dataclass(frozen=True)
@@ -149,12 +154,11 @@ class Simulation:
             raise ValueError("supplied mesh has no Dirichlet (GAMMA0) edges")
         self.mesh = mesh
         self.geom = MeshGeometry(mesh)
-        self.bc = cfg.bc
 
         self.dirichlet = build_dirichlet(mesh, cfg.bc.g)
         self.load = load_vector(self.geom, cfg.bc)
         plain = assemble_stiffness(self.geom, self.material)
-        condensed = assemble_stiffness(self.geom, self.material, self.step_params)
+        condensed = assemble_stiffness(self.geom, self.step_params.condensed)
         # the reduced right sides differ per step, only the matrices are cached
         self.system_plain, _ = apply_dirichlet(plain, np.zeros(plain.matrix.shape[0]), self.dirichlet)
         self.system_eff, _ = apply_dirichlet(condensed, np.zeros(condensed.matrix.shape[0]), self.dirichlet)
@@ -176,31 +180,34 @@ class Simulation:
         phi = zero_tensor_field(self.mesh) if phi0 is None else np.array(phi0, dtype=float)
         if phi.shape != (self.mesh.n_triangles, 3):
             raise ValueError(f"phi0 has shape {phi.shape}, expected {(self.mesh.n_triangles, 3)}")
-        rhs = tensor_load(self.geom, apply_C(self.material, phi)) + self.load
+        m = self.material
+        rhs = tensor_load(self.geom, apply_C(m, phi)) + self.load
         u, rep = self._solve(self.system_plain, rhs, None, "equilibrium", 0)
-        report = diagnostics.energy(self.geom, self.material, u, phi, self.bc, load=self.load)
+        e = strain_field(self.geom, u)
+        report = diagnostics.energy(self.geom, m, u, e, phi, self.load)
         state = SimulationState(k=0, t=0.0, u=u, phi=phi, energy=report.total)
-        return state, StepReport(rep.iterations, rep.residual, 0.0, 0.0, report)
+        return state, StepReport(rep.iterations, rep.residual, 0.0, 0.0, report,
+                                 diagnostics.stress_components_linf(m, e, phi))
 
     def step(self, state: SimulationState) -> tuple[SimulationState, StepReport]:
         m, sp = self.material, self.step_params
         k = state.k + 1
-        drag = (m.eta / sp.tau) * apply_relax_inv(m, sp, state.phi)
-        rhs = tensor_load(self.geom, apply_C(m, drag)) + self.load
+        rhs = tensor_load(self.geom, apply_C(sp.drag, state.phi)) + self.load
         u, rep = self._solve(self.system_eff, rhs, state.u.ravel(), "displacement", k)
 
         e = strain_field(self.geom, u)
-        phi = apply_relax_inv(m, sp, apply_C(m, e) + (m.eta / sp.tau) * state.phi)
+        phi = apply_C(sp.relax_inv, apply_C(m, e) + sp.d * state.phi)
 
-        report = diagnostics.energy(self.geom, m, u, phi, self.bc, load=self.load)
+        report = diagnostics.energy(self.geom, m, u, e, phi, self.load)
         new = SimulationState(k=k, t=k * sp.tau, u=u, phi=phi, energy=report.total)
         return new, StepReport(
             iterations=rep.iterations,
             residual=rep.residual,
             scheme_residual=diagnostics.scheme_residual(m, sp, e, phi, state.phi),
             identity_residual=diagnostics.energy_identity_residual(
-                self.geom, m, sp.tau, state, new),
+                self.geom, m, sp.tau, state, new, e),
             energy=report,
+            sigma_linf=diagnostics.stress_components_linf(m, e, phi),
         )
 
     def run(self, phi0: np.ndarray | None = None, sample_steps=()) -> RunResult:
@@ -228,8 +235,7 @@ class Simulation:
             series["work"][k] = rep.energy.work
             series["identity"][k] = rep.identity_residual
             series["scheme"][k] = rep.scheme_residual
-            sigma_linf[k] = diagnostics.stress_components_linf(
-                self.geom, self.material, state.u, state.phi)
+            sigma_linf[k] = rep.sigma_linf
             iterations[k] = rep.iterations
             if k == 0 or k == n or (cfg.cadence > 0 and k % cfg.cadence == 0):
                 snapshots.append(state)
@@ -284,9 +290,8 @@ def equilibrium_solve(
     """
     geom = geom if geom is not None else MeshGeometry(mesh)
     ds = build_dirichlet(mesh, bd.g)
-    system = assemble_stiffness(geom, m)
-    rhs = assemble_rhs(geom, m, phi, bd)
-    system, rhs = apply_dirichlet(system, rhs, ds)
+    rhs = tensor_load(geom, apply_C(m, phi)) + load_vector(geom, bd)
+    system, rhs = apply_dirichlet(assemble_stiffness(geom, m), rhs, ds)
     x, rep = solve_spd(system, rhs, x0=x0)
     if not rep.converged:
         raise SolverError(

@@ -7,23 +7,30 @@ therefore weights the off-diagonal slot twice:
 
     X : Y = Xxx*Yxx + Xyy*Yyy + 2*Xxy*Yxy
 
-The solver needs three isotropic fourth-order operators, all applied through
-their closed forms (d = 2):
+Every fourth-order operator the solver needs is isotropic, so each one is a
+Lame pair (l, m) acting as X -> l*tr(X)*I + 2*m*X, and apply_C applies any
+of them. An isotropic operator has two eigenvalues, 2*m on trace-free
+tensors and DIM*l + 2*m on multiples of I, and composing or inverting
+isotropic operators acts on those eigenvalues alone. With
 
-    C X       = lam*tr(X)*I + 2*mu*X                 elasticity tensor
-    R X       = (eta/tau + alpha)*X + C X            implicit-step operator
-    R^-1 X    = (1/beta0) * (X - (lam/beta1)*tr(X)*I)
-    C_eff X   = C (X - R^-1 C X)                     condensed stiffness
+    d = eta/tau,   b = d + alpha,   beta0 = 2*mu + b,   beta1 = DIM*lam + beta0,
 
-C_eff is what the displacement solve sees once the implicit tensor update
-phi = R^-1 (C e + eta/tau * phi_prev) is substituted into sigma = C(e - phi):
-the elimination leaves sigma = C_eff e - eta/tau * C R^-1 phi_prev. It is
-softer than C (relaxation sheds stress) but stays SPD: in the eigenbasis of
-C each eigenvalue c becomes c * (eta/tau + alpha) / (eta/tau + alpha + c).
+the step operator R = b*I + C has eigenvalues beta0 and beta1, and
+R - C = b*I gives C - C R^-1 C = b * C R^-1. In 2D, where C has the
+eigenvalues 2*mu and 2*(lam + mu), the four pairs are
 
-with beta0 = 2*mu + eta/tau + alpha and beta1 = d*lam + beta0. Both betas
-are positive whenever the material is admissible and tau > 0, which makes
-the inverse well defined without ever forming a matrix.
+    operator               l                               m
+    C      elasticity      lam                             mu
+    R^-1   step inverse    -lam / (beta0*beta1)            1 / (2*beta0)
+    C_eff  b * C R^-1      (lam+mu)*b/beta1 - mu*b/beta0   mu*b / beta0
+    drag   d * C R^-1      d*(lam+mu)/beta1 - d*mu/beta0   d*mu / beta0
+
+C_eff is the condensed stiffness: substituting the implicit tensor update
+phi = R^-1 (C e + d*phi_prev) into sigma = C (e - phi) leaves
+sigma = C_eff e - drag phi_prev. Both betas are positive whenever the
+material is admissible and tau > 0, which makes every pair well defined,
+and C_eff stays positive definite: each eigenvalue c of C becomes
+c * b / (b + c).
 
 Every operator accepts arrays whose last axis has length 3 and works
 elementwise, so a single tensor and a per-element field of shape (n, 3) go
@@ -33,6 +40,7 @@ through the same code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,17 +51,22 @@ DIM = 2
 # Contraction weights for the (xx, yy, xy) storage.
 DDOT_WEIGHTS = np.array([1.0, 1.0, 2.0])
 
-# The identity tensor in 3-vector storage.
-IDENTITY = np.array([1.0, 1.0, 0.0])
+
+class Lame(NamedTuple):
+    """An isotropic operator X -> lam*tr(X)*I + 2*mu*X."""
+
+    lam: float
+    mu: float
 
 
 @dataclass(frozen=True)
 class Material:
     """Isotropic material: Lame pair (lam, mu), viscosity eta, relaxation alpha.
 
-    Admissibility (see validate_material): mu > 0, lam > -(2/d)*mu, eta > 0,
+    Admissibility (see validate_material): mu > 0, lam > -(2/DIM)*mu, eta > 0,
     alpha >= 0. The first two make C positive definite on symmetric tensors,
-    with smallest eigenvalue min(2*mu, 2*mu + d*lam).
+    with smallest eigenvalue min(2*mu, 2*mu + DIM*lam). A Material is itself
+    the Lame pair of C for apply_C.
     """
 
     lam: float
@@ -64,23 +77,30 @@ class Material:
 
 @dataclass(frozen=True)
 class StepParams:
-    """Per-step scalars of the implicit update.
-
-    beta0 = 2*mu + eta/tau + alpha and beta1 = d*lam + beta0 are the two
-    eigenvalue-like coefficients of the step operator; both must be positive
-    for the closed-form inverse to exist.
-    """
+    """Per-step constants of the implicit update: d = eta/tau and the three
+    step operators as Lame pairs (see the module docstring)."""
 
     tau: float
-    beta0: float
-    beta1: float
+    d: float
+    relax_inv: Lame
+    condensed: Lame
+    drag: Lame
 
     @classmethod
     def from_material(cls, m: Material, tau: float) -> "StepParams":
         if not (tau > 0.0):
             raise ValueError(f"time step must be positive, got tau={tau}")
-        beta0 = 2.0 * m.mu + m.eta / tau + m.alpha
-        return cls(tau=tau, beta0=beta0, beta1=DIM * m.lam + beta0)
+        d = m.eta / tau
+        b = d + m.alpha
+        beta0 = 2.0 * m.mu + b
+        beta1 = DIM * m.lam + beta0
+        return cls(
+            tau=tau,
+            d=d,
+            relax_inv=Lame(-m.lam / (beta0 * beta1), 1.0 / (2.0 * beta0)),
+            condensed=Lame((m.lam + m.mu) * b / beta1 - m.mu * b / beta0, m.mu * b / beta0),
+            drag=Lame(d * (m.lam + m.mu) / beta1 - d * m.mu / beta0, d * m.mu / beta0),
+        )
 
 
 def validate_material(m: Material) -> None:
@@ -107,11 +127,6 @@ def validate_material(m: Material) -> None:
 # ---------------------------------------------------------------------------
 
 
-def tensor_trace(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    return X[..., 0] + X[..., 1]
-
-
 def ddot(X, Y) -> np.ndarray:
     """Double contraction X : Y with the off-diagonal counted twice."""
     X = np.asarray(X, dtype=float)
@@ -119,48 +134,16 @@ def ddot(X, Y) -> np.ndarray:
     return X[..., 0] * Y[..., 0] + X[..., 1] * Y[..., 1] + 2.0 * X[..., 2] * Y[..., 2]
 
 
-def apply_C(m: Material, X) -> np.ndarray:
-    """Elasticity tensor: lam*tr(X)*I + 2*mu*X."""
+def apply_C(pair: Lame | Material, X) -> np.ndarray:
+    """The isotropic operator of a Lame pair: lam*tr(X)*I + 2*mu*X."""
     X = np.asarray(X, dtype=float)
-    out = 2.0 * m.mu * X
-    t = m.lam * (X[..., 0] + X[..., 1])
+    out = 2.0 * pair.mu * X
+    t = pair.lam * (X[..., 0] + X[..., 1])
     out[..., 0] += t
     out[..., 1] += t
     return out
 
 
-def apply_relax(m: Material, s: StepParams, X) -> np.ndarray:
-    """Implicit-step operator: (eta/tau + alpha)*X + C X."""
-    X = np.asarray(X, dtype=float)
-    return (m.eta / s.tau + m.alpha) * X + apply_C(m, X)
-
-
-def apply_relax_inv(m: Material, s: StepParams, X) -> np.ndarray:
-    """Closed-form inverse of the implicit-step operator.
-
-    (1/beta0) * (X - (lam/beta1)*tr(X)*I); exact because the operator is
-    isotropic, so trace and deviatoric parts decouple.
-    """
-    X = np.asarray(X, dtype=float)
-    out = X.astype(float, copy=True)
-    t = (m.lam / s.beta1) * (X[..., 0] + X[..., 1])
-    out[..., 0] -= t
-    out[..., 1] -= t
-    out /= s.beta0
-    return out
-
-
-def apply_C_eff(m: Material, s: StepParams, X) -> np.ndarray:
-    """Condensed stiffness C (X - R^-1 C X) seen by the displacement solve."""
-    X = np.asarray(X, dtype=float)
-    return apply_C(m, X - apply_relax_inv(m, s, apply_C(m, X)))
-
-
 def stress(m: Material, e, phi) -> np.ndarray:
     """Constitutive stress sigma = C (e - phi)."""
     return apply_C(m, np.asarray(e, dtype=float) - np.asarray(phi, dtype=float))
-
-
-def c_inner(m: Material, X, Y) -> np.ndarray:
-    """Elasticity inner product (C X) : Y (symmetric in X and Y)."""
-    return ddot(apply_C(m, X), Y)

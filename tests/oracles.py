@@ -1,6 +1,6 @@
 """Independent matrix-route oracles for the closed-form operator algebra.
 
-The package applies every fourth-order operator through scalar closed forms.
+The package applies every fourth-order operator as a Lame pair.
 These helpers rebuild the same operators as explicit 3x3 matrices acting on
 the coordinate vector (xx, yy, xy) and invert them with generic linear
 algebra (sympy over exact rationals, numpy over floats). Agreement between
@@ -58,6 +58,13 @@ def effective_matrix(lam, mu, eta, alpha, tau):
     C = elasticity_matrix(lam, mu)
     Rinv = step_inverse_matrix(lam, mu, eta, alpha, tau)
     return C * (sp.eye(3) - Rinv * C)
+
+
+def drag_matrix(lam, mu, eta, alpha, tau):
+    """3x3 coordinate matrix of X -> (eta/tau) * C R^-1 X, the operator that
+    carries phi_prev into the condensed right-hand side."""
+    rate = sp.sympify(eta) / sp.sympify(tau)
+    return rate * elasticity_matrix(lam, mu) * step_inverse_matrix(lam, mu, eta, alpha, tau)
 
 
 def to_float(matrix) -> np.ndarray:

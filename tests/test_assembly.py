@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 from viscofem.assembly import (
     SparseSPD,
     apply_dirichlet,
-    assemble_rhs,
     assemble_stiffness,
     load_vector,
     tensor_load,
@@ -128,7 +127,7 @@ class TestElementMatrix:
         m = Material(lam=1.0, mu=1.0, eta=1.0, alpha=1.0)
         s = StepParams.from_material(m, tau=0.5)
         geom = MeshGeometry(single_triangle_mesh(verts))
-        A = assemble_stiffness(geom, m, s).matrix.toarray()
+        A = assemble_stiffness(geom, s.condensed).matrix.toarray()
         K = symbolic_element_matrix(
             verts, sp.Integer(1), sp.Integer(1), step=(sp.Integer(1), sp.Integer(1), sp.Rational(1, 2))
         )
@@ -149,7 +148,7 @@ class TestElementMatrix:
             Ke = geom.areas[k] * B @ T.T @ W3 @ B.T
             idx = geom.dofs[k]
             dense[np.ix_(idx, idx)] += Ke
-        A = assemble_stiffness(geom, m, s).matrix.toarray()
+        A = assemble_stiffness(geom, s.condensed).matrix.toarray()
         assert_allclose(A, dense, rtol=1e-12, atol=1e-12)
 
 
@@ -158,8 +157,8 @@ class TestStiffnessProperties:
     def test_exact_symmetry(self, pattern):
         mesh = build_unit_square(5, pattern=pattern)
         geom = MeshGeometry(mesh)
-        for step in (None, StepParams.from_material(UNIT, tau=0.01)):
-            A = assemble_stiffness(geom, UNIT, step).matrix
+        for pair in (UNIT, StepParams.from_material(UNIT, tau=0.01).condensed):
+            A = assemble_stiffness(geom, pair).matrix
             assert (A != A.T).nnz == 0
 
     def test_rigid_motions_in_kernel(self):
@@ -229,21 +228,6 @@ class TestLoads:
         sym = np.array([A_lin[0, 0], A_lin[1, 1], 0.5 * (A_lin[0, 1] + A_lin[1, 0])])
         exact = W[0] * sym[0] + W[1] * sym[1] + 2.0 * W[2] * sym[2]
         assert rhs @ v.ravel() == pytest.approx(exact, rel=1e-12)
-
-    def test_assemble_rhs_routes(self):
-        rng = np.random.default_rng(33)
-        mesh = classify_boundary(build_unit_square(3), top)
-        geom = MeshGeometry(mesh)
-        m = Material(lam=1.0, mu=2.0, eta=0.5, alpha=1.0)
-        s = StepParams.from_material(m, tau=0.1)
-        phi = rng.standard_normal((mesh.n_triangles, 3))
-        bd = BoundaryData(g=AffineMap.zero(), q=[1.0, 0.0], f=[0.0, -1.0])
-        elastic = assemble_rhs(geom, m, phi, bd)
-        condensed = assemble_rhs(geom, m, phi, bd, step=s)
-        assert elastic.shape == condensed.shape == (geom.n_dofs,)
-        assert not np.allclose(elastic, condensed)
-        zero_phi = np.zeros_like(phi)
-        assert_allclose(assemble_rhs(geom, m, zero_phi, bd), load_vector(geom, bd), atol=0)
 
 
 class TestDirichletElimination:

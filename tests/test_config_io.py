@@ -327,6 +327,20 @@ class TestCommandLine:
         assert err.startswith("error: ") and "node 3 belongs to no triangle" in err
         assert err.count("\n") == 1
 
+    def test_solve_rejects_non_finite_node(self, capsys, tmp_path):
+        mesh_path = tmp_path / "nan.mesh"
+        mesh_path.write_text(
+            "nodes 3\n0 0\n1 0\nnan 1\n"
+            "triangles 1\n0 1 2\n"
+            "boundary 3\n0 1 0\n1 2 1\n2 0 0\n"
+        )
+        path = tmp_path / "nan.cfg"
+        path.write_text(edited(replace=(10, f"path = {mesh_path}")))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nan.mesh:4: expected a finite number" in err
+        assert err.count("\n") == 1
+
     def test_check_config_missing_file(self, capsys, tmp_path):
         assert main(["check-config", str(tmp_path / "absent.cfg")]) == 1
         assert "error:" in capsys.readouterr().err

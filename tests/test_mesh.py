@@ -273,6 +273,17 @@ class TestTextFormat:
         with pytest.raises(MeshFormatError, match=r"mesh\.txt: node 3 belongs to no triangle"):
             load_mesh(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_node_is_line_anchored(self, tmp_path, token):
+        path = tmp_path / "mesh.txt"
+        path.write_text(
+            f"nodes 3\n0 0\n1 0\n{token} 1\n"
+            "triangles 1\n0 1 2\n"
+            "boundary 3\n0 1 1\n1 2 1\n2 0 0\n"
+        )
+        with pytest.raises(MeshFormatError, match=r"mesh\.txt:4: expected a finite number"):
+            load_mesh(path)
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "mesh.txt"
         path.write_text("nodes 3\n0 0\n1 0\n")

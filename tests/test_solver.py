@@ -89,7 +89,7 @@ class TestFEMSystems:
         s = StepParams.from_material(UNIT, tau=0.01)
         ds = build_dirichlet(mesh, AffineMap.zero())
         bd = BoundaryData(g=AffineMap.zero(), q=[0.0, 0.0], f=[0.0, -1.0])
-        reduced, rhs = apply_dirichlet(assemble_stiffness(geom, UNIT, s), load_vector(geom, bd), ds)
+        reduced, rhs = apply_dirichlet(assemble_stiffness(geom, s.condensed), load_vector(geom, bd), ds)
         x, report = solve_spd(reduced, rhs)
         assert report.converged
         assert_allclose(x, dense_spd_solve(reduced.matrix.toarray(), rhs), atol=1e-10)

@@ -2,9 +2,9 @@
 
 Verified here:
   * hand-checked values for the elasticity, step-inverse and condensed
-    operators at lam = mu = eta = 1
-  * exact agreement between the closed forms and independent 3x3 matrix
-    oracles (generic inversion, exact rationals for the condensed operator)
+    operators at lam = mu = eta = 1, and the Lame pairs behind them
+  * agreement between the step pairs (step inverse, condensed, drag) and
+    independent 3x3 matrix oracles inverted exactly over the rationals
   * algebraic properties: linearity, inverse consistency, contraction
     symmetry, positivity with the sharp Rayleigh bound
   * material and step-parameter validation
@@ -20,23 +20,19 @@ from numpy.testing import assert_allclose
 
 from viscofem.tensors import (
     DDOT_WEIGHTS,
-    IDENTITY,
+    DIM,
     Material,
     StepParams,
     apply_C,
-    apply_C_eff,
-    apply_relax,
-    apply_relax_inv,
-    c_inner,
     ddot,
     stress,
-    tensor_trace,
     validate_material,
 )
 
 from oracles import (
     apply_matrix,
     as_matrix,
+    drag_matrix,
     effective_matrix,
     elasticity_matrix,
     step_inverse_matrix,
@@ -44,6 +40,7 @@ from oracles import (
 )
 
 UNIT = Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0)
+IDENTITY = np.array([1.0, 1.0, 0.0])
 
 
 def random_tensors(rng, n):
@@ -54,6 +51,39 @@ def random_material(rng):
     mu = rng.uniform(0.1, 10.0)
     lam = rng.uniform(-0.9 * mu, 10.0)
     return Material(lam=lam, mu=mu, eta=rng.uniform(0.1, 10.0), alpha=rng.uniform(0.0, 5.0))
+
+
+def apply_step(m, s, X):
+    """The step operator R X = (eta/tau + alpha) X + C X, which the package
+    never applies: it only needs R^-1."""
+    return (s.d + m.alpha) * X + apply_C(m, X)
+
+
+def rational_draws(seed, count=100):
+    """Random exact parameter sets (lam, mu, eta, alpha, tau) as Fractions.
+
+    eta/tau spans 1e-4 to 9, lam reaches down to -0.99 mu, and every third
+    draw has alpha = 0: the regimes where composing C (I - R^-1 C) in
+    floating point loses digits to cancellation.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        mu = Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 10)))
+        lam = mu * Fraction(int(rng.integers(-99, 400)), 100)
+        eta = Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 10)))
+        alpha = Fraction(0) if i % 3 == 0 else Fraction(int(rng.integers(1, 40)), 10)
+        rate = Fraction(int(rng.integers(1, 10)), 10 ** int(rng.integers(0, 5)))
+        yield (lam, mu, eta, alpha, eta / rate), rng.standard_normal(3)
+
+
+def assert_matches_oracle(pair_of, oracle, seed):
+    """apply_C(pair_of(step), X) against oracle(...) inverted exactly."""
+    for params, X in rational_draws(seed):
+        lam, mu, eta, alpha, tau = (float(p) for p in params)
+        s = StepParams.from_material(Material(lam=lam, mu=mu, eta=eta, alpha=alpha), tau=tau)
+        ref = apply_matrix(oracle(*(sp.Rational(p) for p in params)), X)
+        atol = 1e-12 * min(1.0, np.abs(ref).max())
+        assert_allclose(apply_C(pair_of(s), X), ref, rtol=1e-12, atol=atol)
 
 
 # ---------------------------------------------------------------------------
@@ -67,28 +97,32 @@ class TestPinnedValues:
         assert_allclose(out, [3.0, 1.0, 0.0], rtol=0, atol=0)
 
     def test_step_inverse_identity(self):
-        # lam = mu = eta = 1, tau = 1, alpha = 0: beta0 = 3, beta1 = 5
+        # lam = mu = eta = 1, tau = 1, alpha = 0: R has eigenvalues 3 (shear)
+        # and 5 (trace), so R^-1 is the pair (1/5 - 1/3) / 2, 1/6
         s = StepParams.from_material(UNIT, tau=1.0)
-        assert s.beta0 == 3.0 and s.beta1 == 5.0
-        assert_allclose(apply_relax_inv(UNIT, s, IDENTITY), IDENTITY / 5.0, rtol=1e-15)
+        assert s.relax_inv == pytest.approx((-1.0 / 15.0, 1.0 / 6.0), rel=1e-15)
+        assert_allclose(apply_C(s.relax_inv, IDENTITY), IDENTITY / 5.0, rtol=1e-15)
 
     def test_step_inverse_shear(self):
         s = StepParams.from_material(UNIT, tau=1.0)
         shear = np.array([0.0, 0.0, 1.0])
-        assert_allclose(apply_relax_inv(UNIT, s, shear), shear / 3.0, rtol=1e-15)
+        assert_allclose(apply_C(s.relax_inv, shear), shear / 3.0, rtol=1e-15)
 
     def test_step_inverse_matches_matrix_oracle(self):
         s = StepParams.from_material(UNIT, tau=1.0)
         Rinv = step_inverse_matrix(1, 1, 1, 0, 1)
         for x in (IDENTITY, np.array([0.0, 0.0, 1.0]), np.array([2.0, -1.0, 0.5])):
-            assert_allclose(apply_relax_inv(UNIT, s, x), apply_matrix(Rinv, x), rtol=1e-14)
+            assert_allclose(apply_C(s.relax_inv, x), apply_matrix(Rinv, x), rtol=1e-14)
 
     def test_effective_uniaxial(self):
         # hand elimination at lam = mu = eta = tau = 1, alpha = 0:
         # C e = (3,1,0), R^-1 C e = (11/15, 1/15, 0),
-        # C (e - R^-1 C e) = C (4/15, -1/15, 0) = (11/15, 1/15, 0)
+        # C (e - R^-1 C e) = C (4/15, -1/15, 0) = (11/15, 1/15, 0),
+        # which is the pair (1/15, 1/3); with alpha = 0 the drag is the same
         s = StepParams.from_material(UNIT, tau=1.0)
-        out = apply_C_eff(UNIT, s, np.array([1.0, 0.0, 0.0]))
+        assert s.condensed == pytest.approx((1.0 / 15.0, 1.0 / 3.0), rel=1e-15)
+        assert s.drag == pytest.approx((1.0 / 15.0, 1.0 / 3.0), rel=1e-15)
+        out = apply_C(s.condensed, np.array([1.0, 0.0, 0.0]))
         assert_allclose(out, [11.0 / 15.0, 1.0 / 15.0, 0.0], rtol=1e-14)
 
     def test_stress_is_elasticity_of_difference(self):
@@ -99,7 +133,7 @@ class TestPinnedValues:
 
     def test_c_inner_uniaxial(self):
         e = np.array([1.0, 0.0, 0.0])
-        assert c_inner(UNIT, e, e) == pytest.approx(3.0, abs=0)
+        assert ddot(apply_C(UNIT, e), e) == pytest.approx(3.0, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,22 +151,15 @@ class TestMatrixOracle:
             assert_allclose(apply_C(m, X), apply_matrix(M, X), rtol=1e-13, atol=1e-13)
 
     def test_effective_matches_exact_rational_matrix(self):
-        # 100 random rational parameter sets, condensed operator inverted
-        # exactly by sympy, compared against the float closed form.
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            mu = Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 10)))
-            lam = mu * Fraction(int(rng.integers(-9, 40)), 10)
-            eta = Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 10)))
-            alpha = Fraction(int(rng.integers(0, 40)), 10)
-            tau = Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 100)))
-            M = effective_matrix(
-                sp.Rational(lam), sp.Rational(mu), sp.Rational(eta), sp.Rational(alpha), sp.Rational(tau)
-            )
-            m = Material(lam=float(lam), mu=float(mu), eta=float(eta), alpha=float(alpha))
-            s = StepParams.from_material(m, tau=float(tau))
-            X = rng.standard_normal(3)
-            assert_allclose(apply_C_eff(m, s, X), apply_matrix(M, X), rtol=1e-12, atol=1e-12)
+        # 100 random rational parameter sets, condensed operator C (I - R^-1 C)
+        # formed and inverted exactly by sympy, against the condensed pair
+        assert_matches_oracle(lambda s: s.condensed, effective_matrix, seed=11)
+
+    def test_step_inverse_matches_exact_rational_matrix(self):
+        assert_matches_oracle(lambda s: s.relax_inv, step_inverse_matrix, seed=12)
+
+    def test_drag_matches_exact_rational_matrix(self):
+        assert_matches_oracle(lambda s: s.drag, drag_matrix, seed=13)
 
     def test_effective_matrix_is_symmetric_in_weighted_inner_product(self):
         # self-adjointness w.r.t. ddot: diag(w) @ M must be a symmetric matrix
@@ -157,9 +184,9 @@ class TestProperties:
         for _ in range(10):
             m = random_material(rng)
             s = StepParams.from_material(m, tau=rng.uniform(1e-3, 2.0))
-            back = apply_relax(m, s, apply_relax_inv(m, s, X))
+            back = apply_step(m, s, apply_C(s.relax_inv, X))
             assert_allclose(back, X, rtol=1e-14, atol=1e-14)
-            forth = apply_relax_inv(m, s, apply_relax(m, s, X))
+            forth = apply_C(s.relax_inv, apply_step(m, s, X))
             assert_allclose(forth, X, rtol=1e-14, atol=1e-14)
 
     def test_operators_are_linear(self):
@@ -170,9 +197,9 @@ class TestProperties:
         a, b = -1.7, 0.3
         for op in (
             lambda Z: apply_C(m, Z),
-            lambda Z: apply_relax(m, s, Z),
-            lambda Z: apply_relax_inv(m, s, Z),
-            lambda Z: apply_C_eff(m, s, Z),
+            lambda Z: apply_C(s.relax_inv, Z),
+            lambda Z: apply_C(s.condensed, Z),
+            lambda Z: apply_C(s.drag, Z),
         ):
             assert_allclose(op(a * X + b * Y), a * op(X) + b * op(Y), rtol=1e-13, atol=1e-13)
 
@@ -192,8 +219,8 @@ class TestProperties:
         rng = np.random.default_rng(5)
         m = random_material(rng)
         X, Y = random_tensors(rng, 500), random_tensors(rng, 500)
-        assert_allclose(c_inner(m, X, Y), c_inner(m, Y, X), rtol=1e-13, atol=1e-13)
-        assert np.all(c_inner(m, X, X) > 0.0)
+        assert_allclose(ddot(apply_C(m, X), Y), ddot(apply_C(m, Y), X), rtol=1e-13, atol=1e-13)
+        assert np.all(ddot(apply_C(m, X), X) > 0.0)
 
     def test_elasticity_rayleigh_bound_is_sharp(self):
         # smallest generalized eigenvalue of (W C, W) equals min(2mu, 2mu + 2lam)
@@ -213,7 +240,7 @@ class TestProperties:
             m = random_material(rng)
             s = StepParams.from_material(m, tau=rng.uniform(1e-3, 1.0))
             X = random_tensors(rng, 200)
-            assert np.all(ddot(apply_C_eff(m, s, X), X) > 0.0)
+            assert np.all(ddot(apply_C(s.condensed, X), X) > 0.0)
 
     def test_field_shapes_pass_through(self):
         # a (n, 3) per-element field takes the same code path as one tensor
@@ -221,10 +248,9 @@ class TestProperties:
         m = random_material(rng)
         s = StepParams.from_material(m, tau=0.1)
         X = random_tensors(rng, 17)
-        stacked = apply_C_eff(m, s, X)
-        rowwise = np.array([apply_C_eff(m, s, x) for x in X])
+        stacked = apply_C(s.condensed, X)
+        rowwise = np.array([apply_C(s.condensed, x) for x in X])
         assert_allclose(stacked, rowwise, rtol=0, atol=0)
-        assert tensor_trace(X).shape == (17,)
 
 
 # ---------------------------------------------------------------------------
@@ -261,4 +287,6 @@ class TestTypes:
         for _ in range(100):
             m = random_material(rng)
             s = StepParams.from_material(m, tau=rng.uniform(1e-4, 10.0))
-            assert s.beta0 > 0.0 and s.beta1 > 0.0
+            # a pair is positive definite when both eigenvalues are positive
+            for pair in (s.relax_inv, s.condensed, s.drag):
+                assert pair.mu > 0.0 and DIM * pair.lam + 2.0 * pair.mu > 0.0
