@@ -8,86 +8,130 @@ two exact low-order rules for the data admitted by this solver:
     body force f (constant):     each vertex of a triangle gets area/3 * f
     traction q (constant):       each endpoint of a GAMMA1 edge gets |e|/2 * q
 
-Dirichlet conditions are eliminated symmetrically: constrained rows and
-columns are zeroed with a unit diagonal put back, and the column action on
-the prescribed values is subtracted from the right-hand side. The reduced
-matrix stays symmetric positive definite, and the constrained components of
-the solution carry the boundary values directly.
+The stiffness of an isotropic operator with Lame pair (l, m) is
+l * K_tr + 2*m * K_dev. The reference matrices are the stiffnesses of the
+pairs (1, 0) and (0, 1/2): elementwise area * tr(B_i) * tr(B_j) and
+area * B_i : B_j for the basis strains B_i. assemble_stiffness builds the
+CSR pattern once per mesh: np.unique of the keys row * n + col of the 36
+dof pairs of every element returns them in row-major CSR order, and its
+inverse is each element entry's slot. Each reference matrix is one
+np.bincount of its element entries over the slots.
+
+Every element entry is a product of commuting factors (tr(B_i) * tr(B_j),
+B_ia * B_ja), so the entries (i, j) and (j, i) are equal bitwise, and
+bincount adds the contributions to a slot in element order. The slots
+(i, j) and (j, i) get equal sums, so A == A.T holds bitwise without a
+symmetrizing pass.
+
+Entries that vanish analytically (many, on structured meshes) come out as
+cancellation residue: on the presets at most 6.9e-17 of the largest entry,
+against at least 6.1e-2 for a real one. Entries with |a| <= 8 eps max|a|
+are not stored, so they cost neither memory nor matrix-vector time.
+
+Dirichlet conditions are eliminated symmetrically by one mask on the
+pattern: entries in a constrained row or column are zeroed and the
+constrained diagonal is set to one. The column action of the unconstrained
+matrix on the prescribed values is subtracted from every right-hand side.
+The constrained matrix stays symmetric positive definite, and the
+constrained components of the solution carry the boundary values directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
 
 from .fields import BoundaryData, DirichletSet
 from .mesh import GAMMA1, MeshGeometry
-from .tensors import DDOT_WEIGHTS, Lame, Material, apply_C
+from .tensors import DDOT_WEIGHTS, Lame, Material
+
+# entries at or below this multiple of the largest one are roundoff
+_ROUNDOFF = 8.0 * np.finfo(float).eps
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparseSPD:
-    """Symmetric positive definite system in CSR storage.
-
-    Before elimination `constrained` is empty. After apply_dirichlet the
-    matrix has unit diagonal rows at the constrained dofs, and the cached
-    `column_action` (full matrix times the prescribed lift) lets later
-    right-hand sides be reduced without reassembly.
-    """
+    """A constrained stiffness in CSR storage: symmetric positive definite,
+    with unit diagonal rows at the constrained dofs. column_action is the
+    unconstrained matrix times the prescribed values, which reduce_rhs moves
+    to the right-hand side."""
 
     matrix: sparse.csr_matrix
-    constrained: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    column_action: np.ndarray | None = None
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
+    constrained: np.ndarray
+    values: np.ndarray
+    column_action: np.ndarray
 
     def reduce_rhs(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply the stored elimination to a fresh right-hand side."""
-        if self.column_action is None:
-            raise ValueError("system has not been through apply_dirichlet")
+        """The right-hand side of the constrained system for a load rhs."""
         out = np.asarray(rhs, dtype=float) - self.column_action
         out[self.constrained] = self.values
         return out
 
 
-def assemble_stiffness(geom: MeshGeometry, pair: Lame | Material) -> SparseSPD:
-    """Stiffness of the isotropic operator T of a Lame pair.
+@dataclass(frozen=True)
+class Stiffness:
+    """K_tr and K_dev on one CSR pattern, and the Dirichlet set that
+    constrains them (see the module docstring)."""
 
-    Entries are (T e[v_i], e[v_j]) summed over elements; T is the elasticity
-    tensor for a Material and the condensed operator for
-    StepParams.condensed. Element matrices are symmetrized before scatter so
-    the assembled matrix is exactly equal to its transpose.
-    """
+    indptr: np.ndarray
+    indices: np.ndarray
+    trace: np.ndarray    # data of K_tr
+    dev: np.ndarray      # data of K_dev
+    dirichlet: DirichletSet
+    cleared: np.ndarray  # per stored entry: in a constrained row or column
+    pinned: np.ndarray   # slots of the constrained diagonal entries
+
+    def _csr(self, data) -> sparse.csr_matrix:
+        n = len(self.indptr) - 1
+        # a copy of the pattern, so eliminate_zeros cannot compact the shared one
+        A = sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n), copy=True)
+        A.eliminate_zeros()
+        return A
+
+    def system(self, pair: Lame | Material) -> SparseSPD:
+        """Constrained stiffness of a Lame pair."""
+        data = pair.lam * self.trace + 2.0 * pair.mu * self.dev
+        data[np.abs(data) <= _ROUNDOFF * np.abs(data).max()] = 0.0
+        ds = self.dirichlet
+        lift = np.zeros(len(self.indptr) - 1)
+        lift[ds.dofs] = ds.flat_values
+        column_action = self._csr(data) @ lift
+        data[self.cleared] = 0.0
+        data[self.pinned] = 1.0
+        return SparseSPD(self._csr(data), ds.dofs, ds.flat_values, column_action)
+
+
+def assemble_stiffness(geom: MeshGeometry, ds: DirichletSet) -> Stiffness:
+    """The reference matrices K_tr and K_dev of a mesh on their CSR pattern,
+    constrained by ds (see the module docstring)."""
+    n = geom.n_dofs
+    keys = (geom.dofs[:, :, None] * n + geom.dofs[:, None, :]).ravel()
+    keys, slot = np.unique(keys, return_inverse=True)
+    rows, cols = np.divmod(keys, n)
+
     B = geom.strain_basis  # (m, 6, 3)
-    TB = apply_C(pair, B)
-    Ke = np.einsum("eia,a,eja->eij", TB, DDOT_WEIGHTS, B) * geom.areas[:, None, None]
-    Ke = 0.5 * (Ke + np.swapaxes(Ke, 1, 2))
+    area = geom.areas[:, None, None]
+    tr = B[:, :, 0] + B[:, :, 1]
+    trace = np.bincount(slot, weights=(area * (tr[:, :, None] * tr[:, None, :])).ravel())
+    dev = area * (B[:, :, None, 0] * B[:, None, :, 0])
+    for a in (1, 2):
+        dev += DDOT_WEIGHTS[a] * (area * (B[:, :, None, a] * B[:, None, :, a]))
+    dev = np.bincount(slot, weights=dev.ravel())
 
-    rows = np.broadcast_to(geom.dofs[:, :, None], Ke.shape).ravel()
-    cols = np.broadcast_to(geom.dofs[:, None, :], Ke.shape).ravel()
-    return SparseSPD(matrix=_accumulate_csr(rows, cols, Ke.ravel(), geom.n_dofs))
-
-
-def _accumulate_csr(rows, cols, data, n) -> sparse.csr_matrix:
-    """Sum duplicate (row, col) entries in element order and build CSR.
-
-    scipy's own duplicate handling may sum a transposed entry pair in a
-    different order, which breaks exact A == A.T. A stable sort keeps the
-    duplicate sequences of (i, j) and (j, i) identical, so the sums agree
-    bitwise when the element matrices are symmetric.
-    """
-    lin = rows * n + cols
-    order = np.argsort(lin, kind="stable")
-    lin = lin[order]
-    data = data[order]
-    unique, starts = np.unique(lin, return_index=True)
-    sums = np.add.reduceat(data, starts)
-    return sparse.csr_matrix((sums, (unique // n, unique % n)), shape=(n, n))
+    fixed = np.zeros(n, dtype=bool)
+    fixed[ds.dofs] = True
+    cleared = fixed[rows] | fixed[cols]
+    return Stiffness(
+        indptr=np.searchsorted(rows, np.arange(n + 1)),
+        indices=cols,
+        trace=trace,
+        dev=dev,
+        dirichlet=ds,
+        cleared=cleared,
+        pinned=np.flatnonzero(cleared & (rows == cols)),
+    )
 
 
 def tensor_load(geom: MeshGeometry, W: np.ndarray) -> np.ndarray:
@@ -119,37 +163,3 @@ def load_vector(geom: MeshGeometry, bd: BoundaryData) -> np.ndarray:
             np.add.at(out, 2 * edges[:, 0] + c, half * bd.q[c])
             np.add.at(out, 2 * edges[:, 1] + c, half * bd.q[c])
     return out
-
-
-def apply_dirichlet(system: SparseSPD, rhs: np.ndarray, ds: DirichletSet) -> tuple[SparseSPD, np.ndarray]:
-    """Symmetric elimination of the Dirichlet dofs.
-
-    Returns a new system (unit diagonal at constrained dofs, zeroed rows and
-    columns elsewhere in those lines) along with the reduced right-hand
-    side. The input system is not modified.
-    """
-    if system.column_action is not None:
-        raise ValueError("system has already been through apply_dirichlet")
-    A = system.matrix
-    n = system.dimension
-    dofs = ds.dofs
-    vals = ds.flat_values
-
-    lift = np.zeros(n)
-    lift[dofs] = vals
-    column_action = A @ lift
-
-    keep = np.ones(n)
-    keep[dofs] = 0.0
-    S = sparse.diags(keep)
-    pinned = np.zeros(n)
-    pinned[dofs] = 1.0
-    reduced_matrix = (S @ A @ S + sparse.diags(pinned)).tocsr()
-
-    reduced = SparseSPD(
-        matrix=reduced_matrix,
-        constrained=dofs,
-        values=vals,
-        column_action=column_action,
-    )
-    return reduced, reduced.reduce_rhs(np.asarray(rhs, dtype=float))

@@ -75,11 +75,6 @@ def config_text(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def write_config(cfg: RunConfig, path) -> None:
-    with open(path, "w") as f:
-        f.write(config_text(cfg))
-
-
 def parse_config(path) -> RunConfig:
     with open(path) as f:
         raw = f.read()

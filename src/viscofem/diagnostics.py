@@ -21,9 +21,14 @@ energy E*(phi) = min_u E(u, phi): for any direction psi,
     eta (dphi, psi)  =  - dE*(phi)[psi]
 
 gradient_flow_check confronts the left side with a central difference of
-E* (two fresh constrained solves per direction; E* is quadratic in phi, so
-the central difference is exact up to roundoff) and also with the closed
-form dE*(phi)[psi] = (alpha*phi - sigma[u(phi), phi], psi).
+E* (two constrained solves per direction; E* is quadratic in phi, so the
+central difference is exact up to roundoff) and also with the closed form
+dE*(phi)[psi] = (alpha*phi - sigma[u(phi), phi], psi).
+
+verify_result builds one fresh Simulation of the run's configuration and
+mesh per call, so every probe solves on a system assembled independently of
+the forward run; only the run's displacement is reused, as the solver's
+initial guess.
 """
 
 from __future__ import annotations
@@ -32,9 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import load_vector
-from .fields import BoundaryData, strain_field
-from .mesh import Mesh, MeshGeometry
+from .fields import strain_field
+from .mesh import MeshGeometry
 from .tensors import Material, apply_C, ddot, stress
 
 
@@ -131,41 +135,29 @@ def random_direction(geom: MeshGeometry, rng) -> np.ndarray:
     return psi / np.sqrt(psi_inner(geom, psi, psi))
 
 
-def gradient_flow_check(
-    mesh: Mesh,
-    m: Material,
-    bd: BoundaryData,
-    tau: float,
-    phi: np.ndarray,
-    phi_prev: np.ndarray,
-    direction: np.ndarray,
-    eps: float = 1e-5,
-    geom: MeshGeometry | None = None,
-    x0=None,
-) -> GradientFlowCheck:
-    """Check the gradient-flow identity for one consecutive pair (phi_prev, phi).
+def gradient_flow_check(sim, phi, phi_prev, direction, eps: float = 1e-5, x0=None) -> GradientFlowCheck:
+    """Check the gradient-flow identity for one consecutive pair (phi_prev, phi)
+    on the operators of a Simulation sim.
 
-    Each evaluation of the reduced energy runs a fresh constrained solve;
-    nothing from the forward run is reused except the optional initial
-    guess x0 handed to the iterative solver.
+    Each evaluation of the reduced energy runs a constrained solve on
+    sim.system_plain, warm-started from the optional initial guess x0.
     """
     from .stepper import equilibrium_solve  # deferred to avoid a module cycle
 
-    geom = geom if geom is not None else MeshGeometry(mesh)
+    geom, m = sim.geom, sim.material
     psi = np.asarray(direction, dtype=float)
-    load = load_vector(geom, bd)
 
     def reduced_energy(tensor_field):
-        u = equilibrium_solve(mesh, m, tensor_field, bd, geom=geom, x0=x0)
-        return energy(geom, m, u, strain_field(geom, u), tensor_field, load).total
+        u, _ = equilibrium_solve(sim, tensor_field, x0)
+        return energy(geom, m, u, strain_field(geom, u), tensor_field, sim.load).total
 
     e_plus = reduced_energy(phi + eps * psi)
     e_minus = reduced_energy(phi - eps * psi)
     cd = (e_plus - e_minus) / (2.0 * eps)
 
-    flow_lhs = (m.eta / tau) * psi_inner(geom, np.asarray(phi) - np.asarray(phi_prev), psi)
+    flow_lhs = sim.step_params.d * psi_inner(geom, np.asarray(phi) - np.asarray(phi_prev), psi)
 
-    u_at_phi = equilibrium_solve(mesh, m, phi, bd, geom=geom, x0=x0)
+    u_at_phi, _ = equilibrium_solve(sim, phi, x0)
     sigma = stress(m, strain_field(geom, u_at_phi), phi)
     derivative = psi_inner(geom, m.alpha * np.asarray(phi) - sigma, psi)
 
@@ -210,12 +202,13 @@ def verify_result(
 ) -> VerificationReport:
     """Structural checks on a finished run (see RunResult in the stepper).
 
-    Gradient-flow checks run on the consecutive pairs the run sampled; the
-    other checks cover every step.
+    Gradient-flow checks run on the consecutive pairs the run sampled, on a
+    fresh Simulation of the run's configuration and mesh; the other checks
+    cover every step.
     """
-    cfg = result.config
-    m = cfg.material
-    geom = MeshGeometry(result.mesh)
+    from .stepper import Simulation  # deferred to avoid a module cycle
+
+    sim = Simulation(result.config, mesh=result.mesh)
     messages = []
 
     E = result.energy
@@ -242,11 +235,8 @@ def verify_result(
     gradient_ok = True
     for k, (phi_prev, state) in sorted(result.sampled_pairs.items()):
         for _ in range(directions):
-            psi = random_direction(geom, rng)
-            check = gradient_flow_check(
-                result.mesh, m, cfg.bc, cfg.tau, state.phi, phi_prev, psi,
-                eps=eps, geom=geom, x0=state.u.ravel(),
-            )
+            psi = random_direction(sim.geom, rng)
+            check = gradient_flow_check(sim, state.phi, phi_prev, psi, eps=eps, x0=state.u.ravel())
             worst = max(check.flow_error, check.derivative_error)
             if worst > max_gradient:
                 max_gradient = worst

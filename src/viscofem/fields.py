@@ -76,10 +76,6 @@ class BoundaryData:
             and np.array_equal(self.f, other.f)
         )
 
-    @classmethod
-    def homogeneous(cls) -> "BoundaryData":
-        return cls(g=AffineMap.zero(), q=np.zeros(2), f=np.zeros(2))
-
 
 @dataclass(frozen=True)
 class DirichletSet:
@@ -111,17 +107,8 @@ def build_dirichlet(mesh: Mesh, g: AffineMap) -> DirichletSet:
     return DirichletSet(nodes=nodes, values=g(mesh.nodes[nodes]))
 
 
-def zero_displacement(mesh: Mesh) -> np.ndarray:
-    return np.zeros((mesh.n_nodes, 2))
-
-
 def zero_tensor_field(mesh: Mesh) -> np.ndarray:
     return np.zeros((mesh.n_triangles, 3))
-
-
-def interpolate(mesh: Mesh, func) -> np.ndarray:
-    """Nodal interpolation of a (vectorized) map R^2 -> R^2."""
-    return np.asarray(func(mesh.nodes), dtype=float).reshape(mesh.n_nodes, 2)
 
 
 def strain_field(geom: MeshGeometry, u: np.ndarray) -> np.ndarray:

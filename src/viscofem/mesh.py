@@ -277,19 +277,6 @@ def _fix_orientation(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def save_mesh(mesh: Mesh, path) -> None:
-    with open(path, "w") as f:
-        f.write(f"nodes {mesh.n_nodes}\n")
-        for x, y in mesh.nodes:
-            f.write(f"{float(x)!r} {float(y)!r}\n")
-        f.write(f"triangles {mesh.n_triangles}\n")
-        for i, j, k in mesh.triangles:
-            f.write(f"{i} {j} {k}\n")
-        f.write(f"boundary {len(mesh.edges)}\n")
-        for (i, j), lab in zip(mesh.edges, mesh.edge_labels):
-            f.write(f"{i} {j} {lab}\n")
-
-
 def load_mesh(path) -> Mesh:
     """Parse the text format, reorient clockwise triangles, validate."""
     reader = _TokenReader(path)

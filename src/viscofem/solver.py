@@ -1,7 +1,8 @@
 """Jacobi-preconditioned conjugate gradients for the reduced SPD systems.
 
-Every system a run solves is a constrained stiffness matrix (SparseSPD:
-symmetric, positive definite, positive diagonal), so there is one solver
+Every system a run solves is a constrained stiffness matrix, a SparseSPD
+built by Stiffness.system as lam * K_tr + 2*mu * K_dev on one CSR pattern
+(symmetric, positive definite, positive diagonal), so there is one solver
 path and nothing to configure. Two module constants fix its behaviour:
 
     _RTOL = 1e-12        relative residual target, ||r|| <= _RTOL * ||b||

@@ -13,12 +13,13 @@ update back into the balance equation recovers the coupled implicit system
 exactly, so the pair (u^k, phi^k) satisfies both equations to solver
 tolerance; scheme_residual tracks that per step.
 
-The displacement matrix and the load vector are constant in time, so a
-Simulation assembles and constrains them once and reuses them for every
-step. The solver is warm-started from the previous displacement. Each
-step computes the strain of the new displacement once and hands it to the
-update, the energy, the scheme residual, the energy identity and the
-stress norm.
+The displacement matrices and the load vector are constant in time, so a
+Simulation assembles the stiffness once and keeps the two constrained
+systems built from it: the plain one (C) for equilibrium solves and the
+condensed one (C_eff) for the steps. The solver is warm-started from the
+previous displacement. Each step computes the strain of the new
+displacement once and hands it to the update, the energy, the scheme
+residual, the energy identity and the stress norm.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics
-from .assembly import apply_dirichlet, assemble_stiffness, load_vector, tensor_load
+from .assembly import SparseSPD, assemble_stiffness, load_vector, tensor_load
 from .fields import BoundaryData, build_dirichlet, strain_field, zero_tensor_field
 from .mesh import GAMMA0, Mesh, MeshGeometry, boundary_predicate, build_unit_square, classify_boundary, load_mesh
-from .solver import solve_spd
+from .solver import SolveReport, solve_spd
 from .tensors import Material, StepParams, apply_C, validate_material
 
 
@@ -93,8 +94,15 @@ class RunConfig:
         return count_steps(self.t_end, self.tau)
 
 
+# A run records eleven 8-byte numbers per step (the time, six energy and
+# residual series, three stress maxima, the iteration count), so this
+# ceiling keeps that record under 1 GB before any field is stored.
+_MAX_STEPS = 10**7
+
+
 def count_steps(t_end: float, tau: float) -> int:
-    """Number of steps covering (0, T]; tau must divide into T at least once.
+    """Number of steps covering (0, T]; tau must divide into T at least once,
+    and at most _MAX_STEPS times.
 
     The relative nudge absorbs cases like T/tau = 0.2/0.1 where the float
     quotient lands just below the integer.
@@ -104,6 +112,8 @@ def count_steps(t_end: float, tau: float) -> int:
     steps = t_end / tau * (1.0 + 1e-12)
     if not math.isfinite(steps):
         raise ValueError(f"T / tau is not finite, got tau = {tau}, T = {t_end}")
+    if steps >= _MAX_STEPS + 1:
+        raise ValueError(f"T / tau = {steps:.3e} steps, more than a run can hold ({_MAX_STEPS})")
     return int(math.floor(steps))
 
 
@@ -157,19 +167,15 @@ class Simulation:
 
         self.dirichlet = build_dirichlet(mesh, cfg.bc.g)
         self.load = load_vector(self.geom, cfg.bc)
-        plain = assemble_stiffness(self.geom, self.material)
-        condensed = assemble_stiffness(self.geom, self.step_params.condensed)
-        # the reduced right sides differ per step, only the matrices are cached
-        self.system_plain, _ = apply_dirichlet(plain, np.zeros(plain.matrix.shape[0]), self.dirichlet)
-        self.system_eff, _ = apply_dirichlet(condensed, np.zeros(condensed.matrix.shape[0]), self.dirichlet)
+        stiffness = assemble_stiffness(self.geom, self.dirichlet)
+        self.system_plain = stiffness.system(self.material)
+        self.system_eff = stiffness.system(self.step_params.condensed)
 
-    def _solve(self, system, rhs, x0, what: str, k: int) -> tuple[np.ndarray, object]:
-        reduced = system.reduce_rhs(rhs)
-        x, rep = solve_spd(system, reduced, x0=x0)
+    def _solve(self, system: SparseSPD, rhs, x0, what: str) -> tuple[np.ndarray, SolveReport]:
+        x, rep = solve_spd(system, system.reduce_rhs(rhs), x0=x0)
         if not rep.converged:
             raise SolverError(
-                f"{what} solve failed at step {k}: residual {rep.residual:.3e} "
-                f"after {rep.iterations} iterations"
+                f"{what} failed: residual {rep.residual:.3e} after {rep.iterations} iterations"
             )
         u = x.reshape(-1, 2)
         u[self.dirichlet.nodes] = self.dirichlet.values
@@ -181,8 +187,7 @@ class Simulation:
         if phi.shape != (self.mesh.n_triangles, 3):
             raise ValueError(f"phi0 has shape {phi.shape}, expected {(self.mesh.n_triangles, 3)}")
         m = self.material
-        rhs = tensor_load(self.geom, apply_C(m, phi)) + self.load
-        u, rep = self._solve(self.system_plain, rhs, None, "equilibrium", 0)
+        u, rep = equilibrium_solve(self, phi)
         e = strain_field(self.geom, u)
         report = diagnostics.energy(self.geom, m, u, e, phi, self.load)
         state = SimulationState(k=0, t=0.0, u=u, phi=phi, energy=report.total)
@@ -193,7 +198,7 @@ class Simulation:
         m, sp = self.material, self.step_params
         k = state.k + 1
         rhs = tensor_load(self.geom, apply_C(sp.drag, state.phi)) + self.load
-        u, rep = self._solve(self.system_eff, rhs, state.u.ravel(), "displacement", k)
+        u, rep = self._solve(self.system_eff, rhs, state.u.ravel(), f"displacement solve at step {k}")
 
         e = strain_field(self.geom, u)
         phi = apply_C(sp.relax_inv, apply_C(m, e) + sp.d * state.phi)
@@ -275,29 +280,11 @@ def run(cfg: RunConfig, phi0=None, sample_steps=None) -> RunResult:
     return sim.run(phi0=phi0, sample_steps=sample_steps)
 
 
-def equilibrium_solve(
-    mesh: Mesh,
-    m: Material,
-    phi,
-    bd: BoundaryData,
-    geom: MeshGeometry | None = None,
-    x0=None,
-) -> np.ndarray:
+def equilibrium_solve(sim: Simulation, phi, x0=None) -> tuple[np.ndarray, SolveReport]:
     """Displacement minimizing the energy at a frozen tensor field phi.
 
-    Standalone, nothing cached: assembles, constrains and solves from
-    scratch. The diagnostics use it to evaluate the reduced energy.
+    Solves the plain system of sim with the right-hand side (C phi, e[v]) +
+    l(v). The initial state and the gradient-flow probes use it.
     """
-    geom = geom if geom is not None else MeshGeometry(mesh)
-    ds = build_dirichlet(mesh, bd.g)
-    rhs = tensor_load(geom, apply_C(m, phi)) + load_vector(geom, bd)
-    system, rhs = apply_dirichlet(assemble_stiffness(geom, m), rhs, ds)
-    x, rep = solve_spd(system, rhs, x0=x0)
-    if not rep.converged:
-        raise SolverError(
-            f"equilibrium solve failed: residual {rep.residual:.3e} "
-            f"after {rep.iterations} iterations"
-        )
-    u = x.reshape(-1, 2)
-    u[ds.nodes] = ds.values
-    return u
+    rhs = tensor_load(sim.geom, apply_C(sim.material, phi)) + sim.load
+    return sim._solve(sim.system_plain, rhs, x0, "equilibrium solve")

@@ -17,8 +17,16 @@ yy, xy) coordinates by
 
 import numpy as np
 import sympy as sp
+from scipy.spatial import Delaunay
+
+from viscofem.config import config_text
+from viscofem.fields import AffineMap, BoundaryData, DirichletSet
+from viscofem.mesh import GAMMA1, Mesh
 
 DIM = 2
+
+# the Dirichlet set of no node: a Stiffness built with it is unconstrained
+NO_DIRICHLET = DirichletSet(nodes=np.empty(0, dtype=np.int64), values=np.empty((0, 2)))
 
 
 def elasticity_matrix(lam, mu):
@@ -169,3 +177,69 @@ def monolithic_step(nodes, triangles, dir_nodes, dir_values,
 
     x = np.linalg.solve(A, b)
     return x[:n_u].reshape(n_nodes, 2), x[n_u:].reshape(n_tri, 3)
+
+
+# ---------------------------------------------------------------------------
+# test-side data helpers
+# ---------------------------------------------------------------------------
+
+
+def interpolate(mesh, func) -> np.ndarray:
+    """Nodal interpolation of a (vectorized) map R^2 -> R^2."""
+    return np.asarray(func(mesh.nodes), dtype=float).reshape(mesh.n_nodes, 2)
+
+
+def zero_displacement(mesh) -> np.ndarray:
+    return np.zeros((mesh.n_nodes, 2))
+
+
+def homogeneous_data() -> BoundaryData:
+    """Zero Dirichlet map, traction and body force."""
+    return BoundaryData(g=AffineMap.zero(), q=np.zeros(2), f=np.zeros(2))
+
+
+def save_mesh(mesh, path) -> None:
+    """Write a mesh in the text format viscofem.mesh.load_mesh reads."""
+    with open(path, "w") as f:
+        f.write(f"nodes {mesh.n_nodes}\n")
+        for x, y in mesh.nodes:
+            f.write(f"{float(x)!r} {float(y)!r}\n")
+        f.write(f"triangles {mesh.n_triangles}\n")
+        for i, j, k in mesh.triangles:
+            f.write(f"{i} {j} {k}\n")
+        f.write(f"boundary {len(mesh.edges)}\n")
+        for (i, j), lab in zip(mesh.edges, mesh.edge_labels):
+            f.write(f"{i} {j} {lab}\n")
+
+
+def write_config(cfg, path) -> None:
+    with open(path, "w") as f:
+        f.write(config_text(cfg))
+
+
+def delaunay_mesh(n=6, seed=0) -> Mesh:
+    """Unstructured mesh of a 4n-gon inscribed in the unit circle.
+
+    Delaunay triangulation of the polygon's vertices and a jittered grid of
+    interior points (spacing 2/n, inside radius 0.85). No three boundary
+    points are collinear, so the hull edges are the boundary; all are
+    labeled GAMMA1. Interior nodes get differing stencils, unlike on the
+    structured meshes.
+    """
+    rng = np.random.default_rng(seed)
+    angles = 2.0 * np.pi * np.arange(4 * n) / (4 * n)
+    rim = np.column_stack([np.cos(angles), np.sin(angles)])
+    s = np.linspace(-1.0, 1.0, n + 1)
+    grid = np.column_stack([a.ravel() for a in np.meshgrid(s, s)])
+    grid = grid[np.hypot(grid[:, 0], grid[:, 1]) < 0.85]
+    grid += rng.uniform(-0.25, 0.25, grid.shape) * (2.0 / n)
+    nodes = np.vstack([rim, grid])
+    dt = Delaunay(nodes)
+    triangles = dt.simplices.astype(np.int64)
+    p = nodes[triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    cw = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0
+    triangles[cw] = triangles[cw][:, [0, 2, 1]]
+    edges = dt.convex_hull.astype(np.int64)
+    return Mesh(nodes=nodes, triangles=triangles, edges=edges,
+                edge_labels=np.full(len(edges), GAMMA1, dtype=np.int64))

@@ -24,11 +24,11 @@ import pytest
 
 from viscofem.config import preset_config
 from viscofem.diagnostics import verify_result
-from viscofem.fields import AffineMap, BoundaryData, interpolate, strain_field
+from viscofem.fields import AffineMap, BoundaryData, strain_field
 from viscofem.stepper import MeshSpec, RunConfig, Simulation, run
 from viscofem.tensors import Material, stress
 
-from oracles import monolithic_step
+from oracles import interpolate, monolithic_step
 
 ALPHAS = (0.0, 1.0, 2.0)
 EXAMPLES = ("example1", "example2")

@@ -4,7 +4,8 @@ The element matrices are checked against a fully symbolic oracle: sympy
 builds the barycentric basis from vertex coordinates, forms strains as 2x2
 matrices, applies the operators in matrix form and integrates over the
 mapped triangle. Nothing of the package's 3-vector storage or quadrature
-shortcuts enters that route.
+shortcuts enters that route. Unconstrained matrices are the systems of a
+Stiffness built with the Dirichlet set of no node.
 """
 
 import numpy as np
@@ -12,21 +13,31 @@ import pytest
 import sympy as sp
 from numpy.testing import assert_allclose
 
-from viscofem.assembly import (
-    SparseSPD,
-    apply_dirichlet,
-    assemble_stiffness,
-    load_vector,
-    tensor_load,
-)
-from viscofem.fields import AffineMap, BoundaryData, build_dirichlet, interpolate
+from viscofem.assembly import assemble_stiffness, load_vector, tensor_load
+from viscofem.fields import AffineMap, BoundaryData, build_dirichlet
 from viscofem.mesh import GAMMA0, GAMMA1, Mesh, MeshGeometry, build_unit_square, classify_boundary
 from viscofem.tensors import Material, StepParams
 
-from oracles import dense_spd_solve, effective_matrix, elasticity_matrix, to_float
+from oracles import (
+    NO_DIRICHLET,
+    delaunay_mesh,
+    dense_spd_solve,
+    effective_matrix,
+    interpolate,
+    to_float,
+)
 from test_mesh import sides, top
 
 UNIT = Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0)
+
+
+def stiffness_matrix(geom, pair):
+    """Unconstrained stiffness of a Lame pair."""
+    return assemble_stiffness(geom, NO_DIRICHLET).system(pair).matrix
+
+
+def left_arc(p):
+    return GAMMA0 if p[0] < -0.5 else GAMMA1
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +121,7 @@ class TestElementMatrix:
     def test_reference_triangle_elastic(self):
         verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
         geom = MeshGeometry(single_triangle_mesh(verts))
-        A = assemble_stiffness(geom, UNIT).matrix.toarray()
+        A = stiffness_matrix(geom, UNIT).toarray()
         K = symbolic_element_matrix(verts, sp.Integer(1), sp.Integer(1))
         assert_allclose(A, K, rtol=1e-13, atol=1e-13)
 
@@ -118,7 +129,7 @@ class TestElementMatrix:
         verts = [(0.2, -0.1), (1.3, 0.4), (0.5, 1.7)]
         m = Material(lam=2.5, mu=0.7, eta=1.0, alpha=0.0)
         geom = MeshGeometry(single_triangle_mesh(verts))
-        A = assemble_stiffness(geom, m).matrix.toarray()
+        A = stiffness_matrix(geom, m).toarray()
         K = symbolic_element_matrix(verts, sp.Rational(5, 2), sp.Rational(7, 10))
         assert_allclose(A, K, rtol=1e-12, atol=1e-12)
 
@@ -127,44 +138,52 @@ class TestElementMatrix:
         m = Material(lam=1.0, mu=1.0, eta=1.0, alpha=1.0)
         s = StepParams.from_material(m, tau=0.5)
         geom = MeshGeometry(single_triangle_mesh(verts))
-        A = assemble_stiffness(geom, s.condensed).matrix.toarray()
+        A = stiffness_matrix(geom, s.condensed).toarray()
         K = symbolic_element_matrix(
             verts, sp.Integer(1), sp.Integer(1), step=(sp.Integer(1), sp.Integer(1), sp.Rational(1, 2))
         )
         assert_allclose(A, K, rtol=1e-12, atol=1e-12)
 
     def test_condensed_matches_voigt_matrix_route(self):
-        # dense assembly from the 3x3 operator matrix, weighted contraction
+        # dense assembly from the 3x3 operator matrix, weighted contraction;
+        # the unstructured mesh gives interior nodes differing stencils, so
+        # a slot that lands on a neighbour's entry shows
         m = Material(lam=1.3, mu=0.8, eta=2.0, alpha=0.5)
         s = StepParams.from_material(m, tau=0.01)
-        mesh = classify_boundary(build_unit_square(3, pattern="alternating"), top)
-        geom = MeshGeometry(mesh)
         T = to_float(effective_matrix(m.lam, m.mu, m.eta, m.alpha, s.tau))
         W3 = np.diag([1.0, 1.0, 2.0])
-        n = geom.n_dofs
-        dense = np.zeros((n, n))
-        for k in range(mesh.n_triangles):
-            B = geom.strain_basis[k]
-            Ke = geom.areas[k] * B @ T.T @ W3 @ B.T
-            idx = geom.dofs[k]
-            dense[np.ix_(idx, idx)] += Ke
-        A = assemble_stiffness(geom, s.condensed).matrix.toarray()
-        assert_allclose(A, dense, rtol=1e-12, atol=1e-12)
+        for mesh in (build_unit_square(3, pattern="alternating"), delaunay_mesh(n=6, seed=1)):
+            geom = MeshGeometry(mesh)
+            n = geom.n_dofs
+            dense = np.zeros((n, n))
+            for k in range(mesh.n_triangles):
+                B = geom.strain_basis[k]
+                Ke = geom.areas[k] * B @ T.T @ W3 @ B.T
+                idx = geom.dofs[k]
+                dense[np.ix_(idx, idx)] += Ke
+            A = stiffness_matrix(geom, s.condensed).toarray()
+            assert_allclose(A, dense, rtol=1e-12, atol=1e-12)
 
 
 class TestStiffnessProperties:
-    @pytest.mark.parametrize("pattern", ["right", "alternating"])
+    @pytest.mark.parametrize("pattern", ["right", "alternating", "unstructured"])
     def test_exact_symmetry(self, pattern):
-        mesh = build_unit_square(5, pattern=pattern)
+        if pattern == "unstructured":
+            mesh = classify_boundary(delaunay_mesh(n=6, seed=2), left_arc)
+        else:
+            mesh = classify_boundary(build_unit_square(5, pattern=pattern), top)
         geom = MeshGeometry(mesh)
+        ds = build_dirichlet(mesh, AffineMap.zero())
         for pair in (UNIT, StepParams.from_material(UNIT, tau=0.01).condensed):
-            A = assemble_stiffness(geom, pair).matrix
-            assert (A != A.T).nnz == 0
+            for A in (stiffness_matrix(geom, pair), assemble_stiffness(geom, ds).system(pair).matrix):
+                assert (A != A.T).nnz == 0
+                # roundoff-level entries are not stored, nor exact zeros
+                assert np.all(A.data != 0.0)
 
     def test_rigid_motions_in_kernel(self):
         mesh = build_unit_square(4, pattern="left")
         geom = MeshGeometry(mesh)
-        A = assemble_stiffness(geom, UNIT).matrix
+        A = stiffness_matrix(geom, UNIT)
         translation_x = interpolate(mesh, AffineMap.zero()) + np.array([1.0, 0.0])
         translation_y = interpolate(mesh, AffineMap.zero()) + np.array([0.0, 1.0])
         rotation = interpolate(mesh, AffineMap([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0]))
@@ -174,7 +193,7 @@ class TestStiffnessProperties:
     def test_positive_semidefinite_with_three_dim_kernel(self):
         mesh = build_unit_square(2)
         geom = MeshGeometry(mesh)
-        A = assemble_stiffness(geom, UNIT).matrix.toarray()
+        A = stiffness_matrix(geom, UNIT).toarray()
         eigs = np.linalg.eigvalsh(A)
         assert eigs[:3] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
         assert np.all(eigs[3:] > 1e-8)
@@ -231,83 +250,63 @@ class TestLoads:
 
 
 class TestDirichletElimination:
+    def constrained(self, mesh, g=AffineMap.zero()):
+        geom = MeshGeometry(mesh)
+        ds = build_dirichlet(mesh, g)
+        return geom, ds, assemble_stiffness(geom, ds).system(UNIT)
+
     def test_all_constrained_gives_identity(self):
         mesh = classify_boundary(build_unit_square(1, pattern="right"), lambda p: GAMMA0)
-        geom = MeshGeometry(mesh)
-        ds = build_dirichlet(mesh, AffineMap.zero())
-        system = assemble_stiffness(geom, UNIT)
-        reduced, rhs = apply_dirichlet(system, np.ones(geom.n_dofs), ds)
-        assert_allclose(reduced.matrix.toarray(), np.eye(geom.n_dofs), atol=0)
-        assert_allclose(rhs, 0.0, atol=0)
+        geom, _, system = self.constrained(mesh)
+        assert_allclose(system.matrix.toarray(), np.eye(geom.n_dofs), atol=0)
+        assert_allclose(system.reduce_rhs(np.ones(geom.n_dofs)), 0.0, atol=0)
 
     def test_prescribed_values_enter_solution(self):
         mesh = classify_boundary(build_unit_square(2), sides)
-        geom = MeshGeometry(mesh)
-        g = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
-        ds = build_dirichlet(mesh, g)
-        system = assemble_stiffness(geom, UNIT)
-        reduced, rhs = apply_dirichlet(system, np.zeros(geom.n_dofs), ds)
-        x = dense_spd_solve(reduced.matrix.toarray(), rhs)
+        geom, ds, system = self.constrained(mesh, AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0]))
+        x = dense_spd_solve(system.matrix.toarray(), system.reduce_rhs(np.zeros(geom.n_dofs)))
         assert_allclose(x[ds.dofs], ds.flat_values, atol=1e-13)
 
     def test_reduced_matrix_spd_and_symmetric(self):
-        mesh = classify_boundary(build_unit_square(3), top)
-        geom = MeshGeometry(mesh)
-        ds = build_dirichlet(mesh, AffineMap.zero())
-        system = assemble_stiffness(geom, UNIT)
-        reduced, _ = apply_dirichlet(system, np.zeros(geom.n_dofs), ds)
-        dense = reduced.matrix.toarray()
+        _, _, system = self.constrained(classify_boundary(build_unit_square(3), top))
+        dense = system.matrix.toarray()
         assert_allclose(dense, dense.T, atol=0)
         assert np.linalg.eigvalsh(dense).min() > 0.0
 
     def test_rows_and_columns_cleared(self):
-        mesh = classify_boundary(build_unit_square(2), top)
-        geom = MeshGeometry(mesh)
-        ds = build_dirichlet(mesh, AffineMap.zero())
-        reduced, _ = apply_dirichlet(assemble_stiffness(geom, UNIT), np.zeros(geom.n_dofs), ds)
-        dense = reduced.matrix.toarray()
+        geom, ds, system = self.constrained(classify_boundary(build_unit_square(2), top))
+        dense = system.matrix.toarray()
         free = np.setdiff1d(np.arange(geom.n_dofs), ds.dofs)
         assert_allclose(dense[np.ix_(ds.dofs, free)], 0.0, atol=0)
         assert_allclose(dense[np.ix_(free, ds.dofs)], 0.0, atol=0)
         assert_allclose(dense[ds.dofs, ds.dofs], 1.0, atol=0)
+        # the free block is the unconstrained matrix's
+        full = stiffness_matrix(geom, UNIT).toarray()
+        assert_allclose(dense[np.ix_(free, free)], full[np.ix_(free, free)], atol=0)
 
     def test_column_action_moves_lift_to_rhs(self):
         rng = np.random.default_rng(34)
         mesh = classify_boundary(build_unit_square(2), sides)
-        geom = MeshGeometry(mesh)
         g = AffineMap([[0.5, 0.0], [0.0, -0.2]], [0.1, 0.0])
-        ds = build_dirichlet(mesh, g)
-        system = assemble_stiffness(geom, UNIT)
+        geom, ds, system = self.constrained(mesh, g)
         raw = rng.standard_normal(geom.n_dofs)
-        reduced, rhs = apply_dirichlet(system, raw, ds)
+        kept = raw.copy()
+        rhs = system.reduce_rhs(raw)
         lift = np.zeros(geom.n_dofs)
         lift[ds.dofs] = ds.flat_values
         free = np.setdiff1d(np.arange(geom.n_dofs), ds.dofs)
-        expected = raw[free] - (system.matrix @ lift)[free]
+        expected = raw[free] - (stiffness_matrix(geom, UNIT) @ lift)[free]
         assert_allclose(rhs[free], expected, atol=0)
         assert_allclose(rhs[ds.dofs], ds.flat_values, atol=0)
-        # reduce_rhs reproduces the same reduction for later right-hand sides
-        again = reduced.reduce_rhs(raw.copy())
-        assert_allclose(again, rhs, atol=0)
-
-    def test_double_elimination_rejected(self):
-        mesh = classify_boundary(build_unit_square(2), top)
-        geom = MeshGeometry(mesh)
-        ds = build_dirichlet(mesh, AffineMap.zero())
-        reduced, _ = apply_dirichlet(assemble_stiffness(geom, UNIT), np.zeros(geom.n_dofs), ds)
-        with pytest.raises(ValueError, match="already"):
-            apply_dirichlet(reduced, np.zeros(geom.n_dofs), ds)
+        # the load handed in is left as it was
+        assert_allclose(raw, kept, atol=0)
 
     def test_patch_solution_matches_dense_oracle(self):
         # full Dirichlet with affine data reproduces the affine field exactly
         mesh = classify_boundary(build_unit_square(3), lambda p: GAMMA0)
-        geom = MeshGeometry(mesh)
         g = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
-        ds = build_dirichlet(mesh, g)
+        geom, _, system = self.constrained(mesh, g)
         bd = BoundaryData(g=g, q=[0.0, 0.0], f=[0.0, 0.0])
-        system = assemble_stiffness(geom, UNIT)
-        rhs = load_vector(geom, bd)
-        reduced, rhs = apply_dirichlet(system, rhs, ds)
-        x = dense_spd_solve(reduced.matrix.toarray(), rhs)
+        x = dense_spd_solve(system.matrix.toarray(), system.reduce_rhs(load_vector(geom, bd)))
         expected = interpolate(mesh, g).ravel()
         assert_allclose(x, expected, atol=1e-13)

@@ -13,12 +13,12 @@ from viscofem.config import (
     parse_config,
     parse_config_text,
     preset_config,
-    write_config,
 )
 from viscofem.cli import main
 from viscofem.outputs import write_outputs
 from viscofem.stepper import Simulation, run
 
+from oracles import write_config
 from test_stepper import PULL, make_config
 
 BASE_LINES = [
@@ -139,6 +139,7 @@ class TestRejections:
         (dict(replace=(8, "T = inf")), "T / tau is not finite"),
         (dict(replace=(8, "T = 1e308")), "T / tau is not finite"),
         (dict(replace=(7, "tau = 1e-320")), "T / tau is not finite"),
+        (dict(replace=(8, "T = 1e300")), "more than a run can hold"),
     ]
 
     @pytest.mark.parametrize("edit,fragment", UNANCHORED)
@@ -312,6 +313,19 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "invalid [time]" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,t_end,tau", [
+        (["check-config"], "1e300", "0.01"),
+        (["solve", "--config"], "1e15", "1"),
+    ])
+    def test_step_count_beyond_ceiling(self, capsys, tmp_path, command, t_end, tau):
+        path = tmp_path / "endless.cfg"
+        path.write_text(edited(replace=(8, f"T = {t_end}")).replace("tau = 0.01", f"tau = {tau}"))
+        assert main([*command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "invalid [time]" in err
+        assert "more than a run can hold" in err
+        assert err.count("\n") == 1
 
     def test_solve_rejects_node_outside_every_triangle(self, capsys, tmp_path):
         mesh_path = tmp_path / "stray.mesh"

@@ -19,11 +19,13 @@ from viscofem.diagnostics import (
     verify_result,
 )
 from viscofem.assembly import load_vector
-from viscofem.fields import AffineMap, BoundaryData, interpolate, strain_field, zero_displacement, zero_tensor_field
+from viscofem.fields import AffineMap, BoundaryData, strain_field, zero_tensor_field
 from viscofem.mesh import MeshGeometry, boundary_predicate, build_unit_square, classify_boundary
-from viscofem.stepper import Simulation, SimulationState, StepParams
+from viscofem.stepper import MeshSpec, Simulation, SimulationState, StepParams
 from viscofem.tensors import Material
 
+from oracles import delaunay_mesh, interpolate, save_mesh, zero_displacement
+from test_assembly import left_arc
 from test_stepper import PULL, make_config
 
 UNIT = Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0)
@@ -197,8 +199,7 @@ class TestGradientFlowProbe:
         rng = np.random.default_rng(5)
         for _ in range(3):
             psi = random_direction(sim.geom, rng)
-            check = gradient_flow_check(sim.mesh, sim.material, cfg.bc, cfg.tau,
-                                        state.phi, prev_phi, psi, geom=sim.geom)
+            check = gradient_flow_check(sim, state.phi, prev_phi, psi)
             assert check.flow_error <= 1e-6
             assert check.derivative_error <= 1e-6
 
@@ -210,8 +211,7 @@ class TestGradientFlowProbe:
         state, _ = sim.step(state)
         rng = np.random.default_rng(6)
         psi = random_direction(sim.geom, rng)
-        check = gradient_flow_check(sim.mesh, sim.material, cfg.bc, cfg.tau,
-                                    state.phi + 0.05, prev_phi, psi, geom=sim.geom)
+        check = gradient_flow_check(sim, state.phi + 0.05, prev_phi, psi)
         assert max(check.flow_error, check.derivative_error) > 1e-3
 
 
@@ -230,6 +230,20 @@ class TestVerifyResult:
         assert report.messages == []
         assert report.max_scheme <= 1e-12
         assert report.max_identity <= 1e-8
+        assert report.max_gradient <= 1e-4
+
+    def test_mesh_file_run_passes(self, tmp_path):
+        # an unstructured polygon, not the unit square, read from a file
+        # with its own labels: verify's Simulation runs on the run's mesh
+        mesh = classify_boundary(delaunay_mesh(n=5, seed=3), left_arc)
+        path = tmp_path / "polygon.mesh"
+        save_mesh(mesh, path)
+        cfg = replace(make_config(alpha=1.0, f=(0.0, -1.0), t_end=0.05),
+                      mesh=MeshSpec(path=str(path)), gamma0="file")
+        result = Simulation(cfg).run(sample_steps=(1, 5))
+        assert result.mesh.n_nodes == mesh.n_nodes
+        report = verify_result(result, directions=2)
+        assert report.ok, report.messages
         assert report.max_gradient <= 1e-4
 
     def test_tampered_energy_is_flagged(self):

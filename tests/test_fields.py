@@ -9,9 +9,7 @@ from viscofem.fields import (
     AffineMap,
     BoundaryData,
     build_dirichlet,
-    interpolate,
     strain_field,
-    zero_displacement,
     zero_tensor_field,
 )
 from viscofem.mesh import (
@@ -23,6 +21,7 @@ from viscofem.mesh import (
     classify_boundary,
 )
 
+from oracles import homogeneous_data, interpolate, zero_displacement
 from test_mesh import sides, top
 
 
@@ -127,7 +126,7 @@ class TestData:
         b = BoundaryData(g=AffineMap.zero(), q=[0.0, 0.0], f=[0.0, -1.0])
         c = BoundaryData(g=AffineMap.zero(), q=[0.0, 0.0], f=[0.0, 0.0])
         assert a == b and a != c
-        assert BoundaryData.homogeneous() == BoundaryData.homogeneous()
+        assert homogeneous_data() == homogeneous_data()
 
     def test_zero_fields_shapes(self):
         mesh = build_unit_square(3)

@@ -13,8 +13,9 @@ from viscofem.mesh import (
     build_unit_square,
     classify_boundary,
     load_mesh,
-    save_mesh,
 )
+
+from oracles import save_mesh
 
 
 def top(p):

@@ -5,13 +5,13 @@ import pytest
 import scipy.sparse as sparse
 from numpy.testing import assert_allclose
 
-from viscofem.assembly import SparseSPD, apply_dirichlet, assemble_stiffness, load_vector
-from viscofem.fields import AffineMap, BoundaryData, build_dirichlet, interpolate
+from viscofem.assembly import SparseSPD, assemble_stiffness, load_vector
+from viscofem.fields import AffineMap, BoundaryData, build_dirichlet
 from viscofem.mesh import GAMMA0, MeshGeometry, build_unit_square, classify_boundary
 from viscofem.solver import SolveReport, solve_spd
 from viscofem.tensors import Material, StepParams
 
-from oracles import dense_spd_solve
+from oracles import dense_spd_solve, interpolate
 from test_mesh import sides, top
 
 UNIT = Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0)
@@ -23,14 +23,14 @@ def reduced_patch_system(n=3, predicate=None):
     g = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
     ds = build_dirichlet(mesh, g)
     bd = BoundaryData(g=g, q=[0.0, 0.0], f=[0.0, 0.0])
-    system = assemble_stiffness(geom, UNIT)
-    rhs = load_vector(geom, bd)
-    reduced, rhs = apply_dirichlet(system, rhs, ds)
-    return mesh, reduced, rhs, g
+    system = assemble_stiffness(geom, ds).system(UNIT)
+    return mesh, system, system.reduce_rhs(load_vector(geom, bd)), g
 
 
 def spd(A) -> SparseSPD:
-    return SparseSPD(sparse.csr_matrix(A))
+    """An unconstrained SparseSPD around a small matrix."""
+    A = sparse.csr_matrix(A)
+    return SparseSPD(A, np.empty(0, dtype=np.int64), np.empty(0), np.zeros(A.shape[0]))
 
 
 class TestSmallSystems:
@@ -89,7 +89,8 @@ class TestFEMSystems:
         s = StepParams.from_material(UNIT, tau=0.01)
         ds = build_dirichlet(mesh, AffineMap.zero())
         bd = BoundaryData(g=AffineMap.zero(), q=[0.0, 0.0], f=[0.0, -1.0])
-        reduced, rhs = apply_dirichlet(assemble_stiffness(geom, s.condensed), load_vector(geom, bd), ds)
+        reduced = assemble_stiffness(geom, ds).system(s.condensed)
+        rhs = reduced.reduce_rhs(load_vector(geom, bd))
         x, report = solve_spd(reduced, rhs)
         assert report.converged
         assert_allclose(x, dense_spd_solve(reduced.matrix.toarray(), rhs), atol=1e-10)

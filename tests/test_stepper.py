@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from viscofem.fields import AffineMap, BoundaryData, interpolate, strain_field
+from viscofem.fields import AffineMap, BoundaryData, strain_field
 from viscofem.diagnostics import stress_components_linf
-from viscofem.mesh import MeshGeometry, build_unit_square, classify_boundary, save_mesh, boundary_predicate
+from viscofem.mesh import MeshGeometry, build_unit_square, classify_boundary, boundary_predicate
 from viscofem.stepper import (
+    _MAX_STEPS,
     MeshSpec,
     RunConfig,
     Simulation,
@@ -20,7 +21,7 @@ from viscofem.stepper import (
 )
 from viscofem.tensors import Material
 
-from oracles import monolithic_step
+from oracles import interpolate, monolithic_step, save_mesh
 
 PULL = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
 
@@ -70,6 +71,14 @@ class TestCountSteps:
             count_steps(1.0, -0.1)
         with pytest.raises(ValueError):
             count_steps(0.5, 0.6)
+        # finite, but more steps than a run can record
+        with pytest.raises(ValueError, match="more than a run can hold"):
+            count_steps(1e300, 0.01)
+        with pytest.raises(ValueError, match="more than a run can hold"):
+            count_steps(1e15, 1.0)
+        with pytest.raises(ValueError, match="more than a run can hold"):
+            count_steps(_MAX_STEPS + 1.0, 1.0)
+        assert count_steps(float(_MAX_STEPS), 1.0) == _MAX_STEPS
 
 
 class TestZeroData:
@@ -215,7 +224,7 @@ class TestSubstitutionEquivalence:
         state, _ = sim.initial_state()
         for _ in range(cfg.n_steps):
             state, _ = sim.step(state)
-        u_re = equilibrium_solve(sim.mesh, sim.material, state.phi, cfg.bc)
+        u_re, _ = equilibrium_solve(sim, state.phi)
         assert_allclose(u_re, state.u, atol=1e-10)
 
 
@@ -316,7 +325,7 @@ class TestValidation:
         # config-file parser would have rejected
         cfg = make_config(n=4, gamma0="top", f=(0.0, np.nan), t_end=0.02)
         sim = Simulation(cfg)
-        with pytest.raises(SolverError, match="step 0"):
+        with pytest.raises(SolverError, match="equilibrium solve failed"):
             sim.initial_state()
 
 
@@ -340,12 +349,9 @@ class TestDeterminism:
 class TestEquilibriumPatch:
     def test_matching_tensor_field_kills_the_stress(self):
         g = AffineMap([[2.0, 0.5], [0.5, -1.0]], [0.3, -0.2])
-        mesh = classify_boundary(build_unit_square(3), boundary_predicate("all"))
-        geom = MeshGeometry(mesh)
-        m = Material(lam=1.1, mu=0.7, eta=1.0, alpha=0.4)
-        bd = BoundaryData(g=g, q=[0.0, 0.0], f=[0.0, 0.0])
+        sim = Simulation(make_config(n=3, gamma0="all", g=g, lam=1.1, mu=0.7, eta=1.0, alpha=0.4))
         # e[g] is the symmetric part of the matrix; here it equals the matrix
-        phi = np.tile([2.0, -1.0, 0.5], (mesh.n_triangles, 1))
-        u = equilibrium_solve(mesh, m, phi, bd)
-        assert_allclose(u, interpolate(mesh, g), atol=1e-10)
-        assert stress_components_linf(m, strain_field(geom, u), phi).max() <= 1e-10
+        phi = np.tile([2.0, -1.0, 0.5], (sim.mesh.n_triangles, 1))
+        u, _ = equilibrium_solve(sim, phi)
+        assert_allclose(u, interpolate(sim.mesh, g), atol=1e-10)
+        assert stress_components_linf(sim.material, strain_field(sim.geom, u), phi).max() <= 1e-10
