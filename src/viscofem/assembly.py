@@ -8,6 +8,12 @@ two exact low-order rules for the data admitted by this solver:
     body force f (constant):     each vertex of a triangle gets area/3 * f
     traction q (constant):       each endpoint of a GAMMA1 edge gets |e|/2 * q
 
+Every element-to-dof sum is one np.bincount, which adds each dof's weights
+in the order given. load_vector orders the body-force weights vertex by
+vertex (vertex 0 of every triangle, then 1, then 2), then the traction
+weights of the start points and of the end points, so its sums are bitwise
+those of per-vertex and per-endpoint accumulation.
+
 The stiffness of an isotropic operator with Lame pair (l, m) is
 l * K_tr + 2*m * K_dev. The reference matrices are the stiffnesses of the
 pairs (1, 0) and (0, 1/2): elementwise area * tr(B_i) * tr(B_j) and
@@ -138,28 +144,18 @@ def tensor_load(geom: MeshGeometry, W: np.ndarray) -> np.ndarray:
     """(W, e[v]) for a P0 tensor field W, as a vector over all dofs."""
     contrib = np.einsum("ea,a,eda->ed", np.asarray(W, dtype=float), DDOT_WEIGHTS, geom.strain_basis)
     contrib *= geom.areas[:, None]
-    out = np.zeros(geom.n_dofs)
-    np.add.at(out, geom.dofs, contrib)
-    return out
+    return np.bincount(geom.dofs.ravel(), weights=contrib.ravel(), minlength=geom.n_dofs)
 
 
 def load_vector(geom: MeshGeometry, bd: BoundaryData) -> np.ndarray:
     """The load functional (f, v) + (q, v)_GAMMA1 over all dofs."""
     mesh = geom.mesh
-    out = np.zeros(geom.n_dofs)
-
-    # vertex rule, exact for constant f against P1 test functions
-    share = geom.areas / 3.0
-    for i in range(3):
-        np.add.at(out, 2 * mesh.triangles[:, i], share * bd.f[0])
-        np.add.at(out, 2 * mesh.triangles[:, i] + 1, share * bd.f[1])
-
-    # endpoint rule, exact for constant q against P1 traces
     on_gamma1 = mesh.edge_labels == GAMMA1
-    if np.any(on_gamma1):
-        edges = mesh.edges[on_gamma1]
-        half = 0.5 * mesh.edge_lengths()[on_gamma1]
-        for c in (0, 1):
-            np.add.at(out, 2 * edges[:, 0] + c, half * bd.q[c])
-            np.add.at(out, 2 * edges[:, 1] + c, half * bd.q[c])
-    return out
+    # weights in the order of the module docstring
+    nodes = np.concatenate([mesh.triangles.T.ravel(), mesh.edges[on_gamma1].T.ravel()])
+    share = np.concatenate([
+        np.tile(geom.areas / 3.0, 3)[:, None] * bd.f,
+        np.tile(0.5 * mesh.edge_lengths()[on_gamma1], 2)[:, None] * bd.q,
+    ])
+    dofs = 2 * nodes[:, None] + np.arange(2)
+    return np.bincount(dofs.ravel(), weights=share.ravel(), minlength=geom.n_dofs)

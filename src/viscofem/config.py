@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import AffineMap, BoundaryData
-from .mesh import BOUNDARY_REGIONS, PATTERNS
+from .mesh import BOUNDARY_REGIONS, MAX_DIVISIONS, PATTERNS
 from .stepper import MeshSpec, RunConfig, count_steps
 from .tensors import Material, validate_material
 
@@ -186,6 +186,8 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
             fail(pat_line, f"'pattern' must be one of {', '.join(PATTERNS)}, got {pattern!r}")
         if n < 1:
             raise ConfigError(f"{origin}: [mesh] n must be >= 1, got {n}")
+        if n > MAX_DIVISIONS:
+            raise ConfigError(f"{origin}: [mesh] n = {n} is more than a mesh can hold ({MAX_DIVISIONS})")
         mesh = MeshSpec(n=n, pattern=pattern)
 
     gamma0, g0_line = take("bc", "gamma0")

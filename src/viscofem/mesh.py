@@ -1,5 +1,9 @@
 """Conforming triangle meshes of the unit square with labeled boundary edges.
 
+Boundary edges are derived from the triangles: the edges of exactly one
+triangle, directed as in it, so counterclockwise. build_unit_square takes
+them from there, and validation checks a loaded boundary list against them.
+
 Boundary edges carry one of two labels: GAMMA0 marks the Dirichlet part of
 the boundary (displacement prescribed), GAMMA1 the traction part. A mesh is
 built with every edge labeled GAMMA1 and must be classified before use;
@@ -29,6 +33,10 @@ PATTERNS = ("right", "left", "alternating")
 
 # Relative area floor below which a triangle counts as degenerate.
 _DEGENERATE_REL = 1e-14
+
+# assemble_stiffness holds 36 int64 keys per element, 576 n^2 bytes for the
+# 2 n^2 triangles of build_unit_square(n); this keeps them under 1 GB.
+MAX_DIVISIONS = 1300
 
 
 class MeshFormatError(ValueError):
@@ -71,11 +79,12 @@ def build_unit_square(n: int, pattern: str = "alternating") -> Mesh:
 
     Each grid cell is split along one diagonal. "right" uses the diagonal
     from the lower-left to the upper-right corner, "left" the other one,
-    and "alternating" flips the choice in a checkerboard. All boundary
-    edges start labeled GAMMA1.
+    and "alternating" flips the choice in a checkerboard. Cells come row by
+    row from the bottom, two triangles each. All boundary edges start
+    labeled GAMMA1.
     """
-    if n < 1:
-        raise ValueError(f"side division count must be >= 1, got n={n}")
+    if not 1 <= n <= MAX_DIVISIONS:
+        raise ValueError(f"side division count must be in [1, {MAX_DIVISIONS}], got n={n}")
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}, expected one of {PATTERNS}")
 
@@ -83,39 +92,36 @@ def build_unit_square(n: int, pattern: str = "alternating") -> Mesh:
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def nid(ix, iy):
-        return iy * (n + 1) + ix
+    # corners (a, b, c, d) of cell (ix, iy), counterclockwise from lower left;
+    # "right" cells split along a-c, the others along b-d
+    iy, ix = np.divmod(np.arange(n * n), n)
+    a = iy * (n + 1) + ix
+    corners = np.column_stack([a, a + 1, a + n + 2, a + n + 1])
+    right = (ix + iy) % 2 == 0 if pattern == "alternating" else np.full(n * n, pattern == "right")
+    triangles = np.where(right[:, None, None], corners[:, [[0, 1, 2], [0, 2, 3]]],
+                         corners[:, [[0, 1, 3], [1, 2, 3]]]).reshape(-1, 3)
 
-    triangles = []
-    for iy in range(n):
-        for ix in range(n):
-            a, b = nid(ix, iy), nid(ix + 1, iy)
-            c, d = nid(ix + 1, iy + 1), nid(ix, iy + 1)
-            if pattern == "right" or (pattern == "alternating" and (ix + iy) % 2 == 0):
-                triangles.append((a, b, c))
-                triangles.append((a, c, d))
-            else:
-                triangles.append((a, b, d))
-                triangles.append((b, c, d))
-
-    edges = []
-    for i in range(n):
-        edges.append((nid(i, 0), nid(i + 1, 0)))          # bottom
-    for j in range(n):
-        edges.append((nid(n, j), nid(n, j + 1)))          # right
-    for i in range(n):
-        edges.append((nid(n - i, n), nid(n - i - 1, n)))  # top
-    for j in range(n):
-        edges.append((nid(0, n - j), nid(0, n - j - 1)))  # left
-
+    edges = _boundary_edges(triangles, nodes.shape[0])
     mesh = Mesh(
         nodes=nodes,
-        triangles=np.asarray(triangles, dtype=np.int64),
-        edges=np.asarray(edges, dtype=np.int64),
+        triangles=triangles,
+        edges=edges,
         edge_labels=np.full(len(edges), GAMMA1, dtype=np.int64),
     )
     _check_conforming(mesh)
     return mesh
+
+
+def _boundary_edges(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The edges of exactly one triangle, directed as in it, in key order.
+    Raises MeshFormatError for an edge of more than two triangles."""
+    directed = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys, first, counts = np.unique(_edge_keys(directed, n_nodes), return_index=True, return_counts=True)
+    k = np.argmax(counts)
+    if counts[k] > 2:
+        edge = divmod(int(keys[k]), n_nodes)
+        raise MeshFormatError(f"non-conforming mesh: edge {edge} shared by {counts[k]} triangles")
+    return directed[first[counts == 1]]
 
 
 def classify_boundary(mesh: Mesh, predicate) -> Mesh:
@@ -176,11 +182,8 @@ class MeshGeometry:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         p = mesh.nodes[mesh.triangles]  # (m, 3, 2)
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        scale = max(np.abs(mesh.nodes).max() ** 2, 1.0)
-        if np.any(det <= _DEGENERATE_REL * scale):
+        det, floor = _doubled_areas(mesh.nodes, mesh.triangles)
+        if np.any(det <= floor):
             k = int(np.argmin(det))
             raise ValueError(f"degenerate or negatively oriented triangle {k}, doubled area {det[k]}")
         self.areas = 0.5 * det
@@ -217,14 +220,25 @@ class MeshGeometry:
 # ---------------------------------------------------------------------------
 
 
+def _doubled_areas(nodes: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, float]:
+    """Twice the signed area of each triangle, positive when counterclockwise,
+    and the floor at or below which its magnitude counts as degenerate."""
+    p = nodes[triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    return det, _DEGENERATE_REL * max(np.abs(nodes).max(initial=0.0) ** 2, 1.0)
+
+
+def _edge_keys(edges: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Undirected key min * n_nodes + max of each edge."""
+    return edges.min(axis=1) * n_nodes + edges.max(axis=1)
+
+
 def _check_conforming(mesh: Mesh) -> None:
     nt, nn = mesh.n_triangles, mesh.n_nodes
     if nt == 0 or nn < 3:
         raise MeshFormatError("mesh needs at least one triangle and three nodes")
-    if mesh.triangles.min() < 0 or mesh.triangles.max() >= nn:
-        raise MeshFormatError(
-            f"triangle node index out of range [0, {nn}): {mesh.triangles.min()}..{mesh.triangles.max()}"
-        )
     if mesh.edges.size and (mesh.edges.min() < 0 or mesh.edges.max() >= nn):
         raise MeshFormatError("boundary edge node index out of range")
     # a node outside every triangle has no stiffness: its rows of the system are zero
@@ -232,38 +246,22 @@ def _check_conforming(mesh: Mesh) -> None:
     if unused.size:
         raise MeshFormatError(f"node {int(unused[0])} belongs to no triangle")
 
-    # every undirected edge must belong to one triangle (boundary) or two
-    counts: dict[tuple[int, int], int] = {}
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            counts[key] = counts.get(key, 0) + 1
-    over = [e for e, c in counts.items() if c > 2]
-    if over:
-        raise MeshFormatError(f"non-conforming mesh: edge {over[0]} shared by {counts[over[0]]} triangles")
-
-    hull = {e for e, c in counts.items() if c == 1}
-    listed: set[tuple[int, int]] = set()
-    for a, b in mesh.edges:
-        key = (int(min(a, b)), int(max(a, b)))
-        if key in listed:
-            raise MeshFormatError(f"boundary edge {key} listed twice")
-        listed.add(key)
-    if listed != hull:
-        missing = hull - listed
-        extra = listed - hull
-        if missing:
-            raise MeshFormatError(f"boundary list is missing hull edge {sorted(missing)[0]}")
-        raise MeshFormatError(f"boundary list contains non-boundary edge {sorted(extra)[0]}")
+    # the listed boundary must be the hull: the edges of exactly one triangle
+    hull = _edge_keys(_boundary_edges(mesh.triangles, nn), nn)
+    listed, times = np.unique(_edge_keys(mesh.edges, nn), return_counts=True)
+    if np.any(times > 1):
+        raise MeshFormatError(f"boundary edge {divmod(int(listed[times > 1][0]), nn)} listed twice")
+    missing = np.setdiff1d(hull, listed)
+    if missing.size:
+        raise MeshFormatError(f"boundary list is missing hull edge {divmod(int(missing[0]), nn)}")
+    extra = np.setdiff1d(listed, hull)
+    if extra.size:
+        raise MeshFormatError(f"boundary list contains non-boundary edge {divmod(int(extra[0]), nn)}")
 
 
 def _fix_orientation(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = nodes[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    scale = max(np.abs(nodes).max() ** 2, 1.0) if nodes.size else 1.0
-    if np.any(np.abs(det) <= _DEGENERATE_REL * scale):
+    det, floor = _doubled_areas(nodes, triangles)
+    if np.any(np.abs(det) <= floor):
         k = int(np.argmin(np.abs(det)))
         raise MeshFormatError(f"triangle {k} is degenerate (doubled area {det[k]})")
     flipped = triangles.copy()
@@ -290,22 +288,22 @@ def load_mesh(path) -> Mesh:
         ],
         dtype=np.int64,
     ).reshape(-1, 3)
-    n_edges = reader.take_count("boundary")
-    edges = np.empty((n_edges, 2), dtype=np.int64)
-    labels = np.empty(n_edges, dtype=np.int64)
-    for r in range(n_edges):
-        edges[r, 0] = reader.take_index()
-        edges[r, 1] = reader.take_index()
-        labels[r] = reader.take_label()
+    boundary = np.array(
+        [
+            [reader.take_index(), reader.take_index(), reader.take_label()]
+            for _ in range(reader.take_count("boundary"))
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 3)
     reader.expect_end()
 
-    if nodes.shape[0] and triangles.size and triangles.max() >= nodes.shape[0]:
+    if triangles.size and triangles.max() >= nodes.shape[0]:
         raise MeshFormatError(
             f"{reader.path}: triangle refers to node {triangles.max()}, "
             f"but only {nodes.shape[0]} nodes are defined"
         )
     triangles = _fix_orientation(nodes, triangles)
-    mesh = Mesh(nodes=nodes, triangles=triangles, edges=edges, edge_labels=labels)
+    mesh = Mesh(nodes=nodes, triangles=triangles, edges=boundary[:, :2], edge_labels=boundary[:, 2])
     try:
         _check_conforming(mesh)
     except MeshFormatError as exc:

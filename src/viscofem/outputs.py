@@ -5,6 +5,10 @@ formatting), so repeated serial runs are byte-identical. energy.csv and
 stress.csv carry one row per time level including k = 0; VTK files are
 written only at the snapshot cadence.
 
+Each block of rows (a CSV body, a VTK point, cell or scalar section, split
+every 256 rows) is formatted by one % over the row format repeated once
+per row, which gives the same bytes as formatting the rows one by one.
+
 The VTK files are legacy ASCII 2.0 unstructured grids: the undeformed
 mesh, the displacement as point vectors (warp by u in a viewer to see the
 deformed shape), and the internal tensor and stress fields as six cell
@@ -38,30 +42,33 @@ def write_outputs(result: RunResult, outdir) -> list[str]:
     return paths
 
 
+_BLOCK_ROWS = 256  # rows per % call; it holds ~70 transient bytes per value
+
+
+def _write_rows(f, fmt: str, *columns) -> None:
+    """Write one fmt line per row of the columns, one % call per block of rows."""
+    table = np.column_stack(columns)
+    for block in np.split(table, range(_BLOCK_ROWS, len(table), _BLOCK_ROWS)):
+        f.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_energy_csv(result: RunResult, path) -> str:
     with open(path, "w") as f:
         f.write("t,E,elastic,relax,work,identity_residual\n")
-        for k in range(len(result.times)):
-            f.write("%.12e,%.12e,%.12e,%.12e,%.12e,%.12e\n" % (
-                result.times[k], result.energy[k], result.elastic[k],
-                result.relax[k], result.work[k], result.identity_residual[k]))
+        _write_rows(f, "%.12e,%.12e,%.12e,%.12e,%.12e,%.12e\n", result.times, result.energy,
+                    result.elastic, result.relax, result.work, result.identity_residual)
     return path
 
 
 def write_stress_csv(result: RunResult, path) -> str:
     with open(path, "w") as f:
         f.write("t,sigma11_linf,sigma22_linf,sigma12_linf\n")
-        for k in range(len(result.times)):
-            f.write("%.12e,%.12e,%.12e,%.12e\n" % (
-                result.times[k], result.sigma_linf[k, 0],
-                result.sigma_linf[k, 1], result.sigma_linf[k, 2]))
+        _write_rows(f, "%.12e,%.12e,%.12e,%.12e\n", result.times, result.sigma_linf)
     return path
 
 
-def write_vtk(result: RunResult, state: SimulationState, path,
-              geom: MeshGeometry | None = None) -> str:
+def write_vtk(result: RunResult, state: SimulationState, path, geom: MeshGeometry) -> str:
     mesh = result.mesh
-    geom = geom if geom is not None else MeshGeometry(mesh)
     sigma = stress(result.config.material, strain_field(geom, state.u), state.phi)
     n, m = mesh.n_nodes, mesh.n_triangles
     with open(path, "w") as f:
@@ -69,25 +76,19 @@ def write_vtk(result: RunResult, state: SimulationState, path,
         f.write(f"viscofem state k={state.k} t={state.t:.6f}\n")
         f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {n} double\n")
-        for x, y in mesh.nodes:
-            f.write("%.12e %.12e 0.0\n" % (x, y))
+        _write_rows(f, "%.12e %.12e 0.0\n", mesh.nodes)
         f.write(f"CELLS {m} {4 * m}\n")
-        for tri in mesh.triangles:
-            f.write("3 %d %d %d\n" % tuple(tri))
+        _write_rows(f, "3 %d %d %d\n", mesh.triangles)
         f.write(f"CELL_TYPES {m}\n")
         f.write("5\n" * m)
         f.write(f"POINT_DATA {n}\n")
         f.write("VECTORS u double\n")
-        for ux, uy in state.u:
-            f.write("%.12e %.12e 0.0\n" % (ux, uy))
+        _write_rows(f, "%.12e %.12e 0.0\n", state.u)
         f.write(f"CELL_DATA {m}\n")
-        for name, field, col in (
-            ("phi_xx", state.phi, 0), ("phi_yy", state.phi, 1), ("phi_xy", state.phi, 2),
-            ("sigma_xx", sigma, 0), ("sigma_yy", sigma, 1), ("sigma_xy", sigma, 2),
-        ):
+        names = ("phi_xx", "phi_yy", "phi_xy", "sigma_xx", "sigma_yy", "sigma_xy")
+        for name, values in zip(names, np.column_stack([state.phi, sigma]).T):
             f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for v in field[:, col]:
-                f.write("%.12e\n" % v)
+            _write_rows(f, "%.12e\n", values)
     return path
 
 

@@ -243,3 +243,49 @@ def delaunay_mesh(n=6, seed=0) -> Mesh:
     edges = dt.convex_hull.astype(np.int64)
     return Mesh(nodes=nodes, triangles=triangles, edges=edges,
                 edge_labels=np.full(len(edges), GAMMA1, dtype=np.int64))
+
+
+# Per-cell and per-vertex loops that the vectorized mesh build and load
+# scatters must reproduce bit for bit.
+
+
+def loop_unit_square_triangles(n, pattern) -> np.ndarray:
+    """build_unit_square's triangles, cell by cell, row by row from the bottom."""
+    def nid(ix, iy):
+        return iy * (n + 1) + ix
+
+    triangles = []
+    for iy in range(n):
+        for ix in range(n):
+            a, b = nid(ix, iy), nid(ix + 1, iy)
+            c, d = nid(ix + 1, iy + 1), nid(ix, iy + 1)
+            if pattern == "right" or (pattern == "alternating" and (ix + iy) % 2 == 0):
+                triangles += [(a, b, c), (a, c, d)]
+            else:
+                triangles += [(a, b, d), (b, c, d)]
+    return np.asarray(triangles, dtype=np.int64)
+
+
+def loop_load_vector(geom, bd) -> np.ndarray:
+    """load_vector by unbuffered per-vertex, then per-endpoint accumulation."""
+    mesh = geom.mesh
+    out = np.zeros(geom.n_dofs)
+    share = geom.areas / 3.0
+    for i in range(3):
+        for c in (0, 1):
+            np.add.at(out, 2 * mesh.triangles[:, i] + c, share * bd.f[c])
+    on_gamma1 = mesh.edge_labels == GAMMA1
+    half = 0.5 * mesh.edge_lengths()[on_gamma1]
+    for end in (0, 1):
+        for c in (0, 1):
+            np.add.at(out, 2 * mesh.edges[on_gamma1, end] + c, half * bd.q[c])
+    return out
+
+
+def loop_tensor_load(geom, W) -> np.ndarray:
+    """tensor_load by unbuffered accumulation of each element's six entries."""
+    contrib = np.einsum("ea,a,eda->ed", np.asarray(W, dtype=float), np.array([1.0, 1.0, 2.0]),
+                        geom.strain_basis) * geom.areas[:, None]
+    out = np.zeros(geom.n_dofs)
+    np.add.at(out, geom.dofs, contrib)
+    return out

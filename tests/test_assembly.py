@@ -24,6 +24,8 @@ from oracles import (
     dense_spd_solve,
     effective_matrix,
     interpolate,
+    loop_load_vector,
+    loop_tensor_load,
     to_float,
 )
 from test_mesh import sides, top
@@ -210,13 +212,31 @@ class TestLoads:
         assert rhs[1::2].sum() == pytest.approx(-1.0, rel=1e-13)
 
     def test_traction_total_on_gamma1(self):
-        # top edge Dirichlet, traction acts on the remaining three sides
-        mesh = classify_boundary(build_unit_square(5), top)
-        geom = MeshGeometry(mesh)
-        bd = BoundaryData(g=AffineMap.zero(), q=[2.0, 1.0], f=[0.0, 0.0])
-        rhs = load_vector(geom, bd)
-        assert rhs[0::2].sum() == pytest.approx(2.0 * 3.0, rel=1e-13)
-        assert rhs[1::2].sum() == pytest.approx(1.0 * 3.0, rel=1e-13)
+        # top edge Dirichlet, traction acts on the remaining three sides;
+        # on the 24-gon every GAMMA1 side is 2 sin(pi / 24) long
+        square = classify_boundary(build_unit_square(5), top)
+        polygon = classify_boundary(delaunay_mesh(n=6, seed=4), left_arc)
+        side = 2.0 * np.sin(np.pi / 24)
+        for mesh, length in ((square, 3.0), (polygon, side * np.sum(polygon.edge_labels == GAMMA1))):
+            geom = MeshGeometry(mesh)
+            bd = BoundaryData(g=AffineMap.zero(), q=[2.0, 1.0], f=[0.0, 0.0])
+            rhs = load_vector(geom, bd)
+            assert rhs[0::2].sum() == pytest.approx(2.0 * length, rel=1e-13)
+            assert rhs[1::2].sum() == pytest.approx(1.0 * length, rel=1e-13)
+
+    def test_scatters_match_accumulation_loops(self):
+        # the same sums in the same order: bitwise equal
+        rng = np.random.default_rng(33)
+        for mesh in (
+            classify_boundary(build_unit_square(5, pattern="right"), top),
+            classify_boundary(build_unit_square(6), sides),
+            classify_boundary(delaunay_mesh(n=6, seed=5), left_arc),
+        ):
+            geom = MeshGeometry(mesh)
+            bd = BoundaryData(g=AffineMap.zero(), q=rng.standard_normal(2), f=rng.standard_normal(2))
+            assert load_vector(geom, bd).tobytes() == loop_load_vector(geom, bd).tobytes()
+            W = rng.standard_normal((mesh.n_triangles, 3))
+            assert tensor_load(geom, W).tobytes() == loop_tensor_load(geom, W).tobytes()
 
     def test_load_pairs_exactly_with_affine_fields(self):
         # (f, v) for affine v: exact because the vertex rule integrates P1

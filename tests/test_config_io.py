@@ -15,8 +15,12 @@ from viscofem.config import (
     preset_config,
 )
 from viscofem.cli import main
+from viscofem.fields import strain_field
+from viscofem.mesh import MAX_DIVISIONS, MeshGeometry
+from viscofem import outputs
 from viscofem.outputs import write_outputs
 from viscofem.stepper import Simulation, run
+from viscofem.tensors import stress
 
 from oracles import write_config
 from test_stepper import PULL, make_config
@@ -140,6 +144,7 @@ class TestRejections:
         (dict(replace=(8, "T = 1e308")), "T / tau is not finite"),
         (dict(replace=(7, "tau = 1e-320")), "T / tau is not finite"),
         (dict(replace=(8, "T = 1e300")), "more than a run can hold"),
+        (dict(replace=(10, f"n = {MAX_DIVISIONS + 1}")), "[mesh] n = 1301 is more than a mesh can hold"),
     ]
 
     @pytest.mark.parametrize("edit,fragment", UNANCHORED)
@@ -194,7 +199,8 @@ class TestOutputFiles:
             "state_000004.vtk", "state_000005.vtk", "stress.csv", "summary.txt",
         ]
 
-    def test_energy_csv_parses_back(self, small_result, tmp_path):
+    def test_energy_csv_parses_back(self, small_result, tmp_path, monkeypatch):
+        monkeypatch.setattr(outputs, "_BLOCK_ROWS", 4)  # 6 rows: one full block, one partial
         write_outputs(small_result, tmp_path)
         path = tmp_path / "energy.csv"
         header = path.read_text().splitlines()[0]
@@ -204,6 +210,11 @@ class TestOutputFiles:
         assert_allclose(data[:, 0], small_result.times, rtol=1e-11, atol=1e-15)
         assert_allclose(data[:, 1], small_result.energy, rtol=1e-11, atol=1e-15)
         assert_allclose(data[:, 5], small_result.identity_residual, rtol=1e-11, atol=1e-15)
+        r = small_result
+        rows = ["%.12e,%.12e,%.12e,%.12e,%.12e,%.12e" % (
+            r.times[k], r.energy[k], r.elastic[k], r.relax[k], r.work[k], r.identity_residual[k])
+            for k in range(len(r.times))]
+        assert path.read_text().splitlines()[1:] == rows
 
     def test_stress_csv_parses_back(self, small_result, tmp_path):
         write_outputs(small_result, tmp_path)
@@ -212,8 +223,12 @@ class TestOutputFiles:
         assert header == "t,sigma11_linf,sigma22_linf,sigma12_linf"
         data = np.genfromtxt(path, delimiter=",", skip_header=1)
         assert_allclose(data[:, 1:], small_result.sigma_linf, rtol=1e-11, atol=1e-15)
+        r = small_result
+        rows = ["%.12e,%.12e,%.12e,%.12e" % (r.times[k], *r.sigma_linf[k]) for k in range(len(r.times))]
+        assert path.read_text().splitlines()[1:] == rows
 
-    def test_vtk_structure(self, small_result, tmp_path):
+    def test_vtk_structure(self, small_result, tmp_path, monkeypatch):
+        monkeypatch.setattr(outputs, "_BLOCK_ROWS", 7)  # 25 nodes and 32 cells: partial last blocks
         write_outputs(small_result, tmp_path)
         lines = (tmp_path / "state_000000.vtk").read_text().splitlines()
         mesh = small_result.mesh
@@ -240,6 +255,23 @@ class TestOutputFiles:
         names = [l.split()[1] for l in lines if l.startswith("SCALARS")]
         assert names == ["phi_xx", "phi_yy", "phi_xy", "sigma_xx", "sigma_yy", "sigma_xy"]
         assert sum(1 for l in lines if l == "LOOKUP_TABLE default") == 6
+
+        # every data line of every snapshot, against the values formatted one by one
+        geom = MeshGeometry(mesh)
+        for state in small_result.snapshots:
+            lines = (tmp_path / f"state_{state.k:06d}.vtk").read_text().splitlines()
+            sigma = stress(small_result.config.material, strain_field(geom, state.u), state.phi)
+            assert lines[5:5 + n] == ["%.12e %.12e 0.0" % (x, y) for x, y in mesh.nodes]
+            assert lines[6 + n:6 + n + m] == ["3 %d %d %d" % tuple(tri) for tri in mesh.triangles]
+            at = 9 + n + 2 * m
+            assert lines[at:at + n] == ["%.12e %.12e 0.0" % (ux, uy) for ux, uy in state.u]
+            at += n + 1
+            for field in (state.phi, sigma):
+                for col in range(3):
+                    at += 2
+                    assert lines[at:at + m] == ["%.12e" % v for v in field[:, col]]
+                    at += m
+            assert at == len(lines)
 
     def test_summary_content(self, small_result, tmp_path):
         write_outputs(small_result, tmp_path)
@@ -325,6 +357,16 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "invalid [time]" in err
         assert "more than a run can hold" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["check-config"], ["solve", "--config"]])
+    def test_mesh_size_beyond_ceiling(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.cfg"
+        path.write_text(edited(replace=(10, "n = 1000000")))
+        assert main([*command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[mesh] n = 1000000" in err
+        assert "more than a mesh can hold" in err
         assert err.count("\n") == 1
 
     def test_solve_rejects_node_outside_every_triangle(self, capsys, tmp_path):

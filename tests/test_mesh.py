@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from viscofem.mesh import (
     GAMMA0,
     GAMMA1,
+    MAX_DIVISIONS,
     Mesh,
     MeshFormatError,
     MeshGeometry,
@@ -15,7 +16,7 @@ from viscofem.mesh import (
     load_mesh,
 )
 
-from oracles import save_mesh
+from oracles import loop_unit_square_triangles, save_mesh
 
 
 def top(p):
@@ -63,6 +64,40 @@ class TestBuild:
         assert_allclose(geom.areas, 1.0 / (2 * n * n), rtol=1e-12)
         assert geom.areas.sum() == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("pattern", ["right", "left", "alternating"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+    def test_triangles_match_cell_loop(self, n, pattern):
+        triangles = build_unit_square(n, pattern=pattern).triangles
+        reference = loop_unit_square_triangles(n, pattern)
+        assert triangles.dtype == reference.dtype
+        assert np.array_equal(triangles, reference)
+
+    @pytest.mark.parametrize("pattern", ["right", "left", "alternating"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_boundary_is_the_square_counterclockwise(self, n, pattern):
+        mesh = build_unit_square(n, pattern=pattern)
+
+        def nid(ix, iy):
+            return iy * (n + 1) + ix
+
+        # the 4n unit-square sides, walked counterclockwise
+        sides = (
+            [(nid(i, 0), nid(i + 1, 0)) for i in range(n)]
+            + [(nid(n, j), nid(n, j + 1)) for j in range(n)]
+            + [(nid(n - i, n), nid(n - i - 1, n)) for i in range(n)]
+            + [(nid(0, n - j), nid(0, n - j - 1)) for j in range(n)]
+        )
+        edges = [tuple(e) for e in mesh.edges.tolist()]
+        assert len(edges) == 4 * n
+        assert set(edges) == set(sides)
+        # the third vertex of each edge's triangle lies to its left
+        for a, b in edges:
+            (tri,) = [t for t in mesh.triangles.tolist() if a in t and b in t]
+            (c,) = set(tri) - {a, b}
+            d1 = mesh.nodes[b] - mesh.nodes[a]
+            d2 = mesh.nodes[c] - mesh.nodes[a]
+            assert d1[0] * d2[1] - d1[1] * d2[0] > 0.0
+
     def test_alternating_flips_neighbor_cells(self):
         mesh = build_unit_square(2, pattern="alternating")
         # cell (0,0) uses the lower-left node in both triangles, cell (1,0)
@@ -84,6 +119,8 @@ class TestBuild:
             build_unit_square(0)
         with pytest.raises(ValueError, match="pattern"):
             build_unit_square(3, pattern="diagonal")
+        with pytest.raises(ValueError, match="n="):
+            build_unit_square(MAX_DIVISIONS + 1)
 
 
 class TestClassify:
@@ -214,6 +251,22 @@ class TestTextFormat:
         with pytest.raises(MeshFormatError, match="node 7"):
             load_mesh(path)
 
+    def test_boundary_edge_index_out_of_range(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text(
+            "nodes 3\n0 0\n1 0\n0 1\n"
+            "triangles 1\n0 1 2\n"
+            "boundary 3\n0 1 1\n1 9 1\n2 0 0\n"
+        )
+        with pytest.raises(MeshFormatError, match="boundary edge node index out of range"):
+            load_mesh(path)
+
+    def test_triangle_without_nodes(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text("nodes 0\ntriangles 1\n0 1 2\nboundary 0\n")
+        with pytest.raises(MeshFormatError, match="node 2, but only 0 nodes"):
+            load_mesh(path)
+
     def test_degenerate_rejected(self, tmp_path):
         path = tmp_path / "mesh.txt"
         path.write_text(
@@ -242,6 +295,16 @@ class TestTextFormat:
             "boundary 2\n0 1 1\n1 2 1\n"
         )
         with pytest.raises(MeshFormatError, match="missing hull edge"):
+            load_mesh(path)
+
+    def test_boundary_list_rejects_interior_edge(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text(
+            "nodes 4\n0 0\n1 0\n1 1\n0 1\n"
+            "triangles 2\n0 1 2\n0 2 3\n"
+            "boundary 5\n0 1 1\n1 2 1\n2 3 1\n3 0 0\n0 2 1\n"
+        )
+        with pytest.raises(MeshFormatError, match=r"non-boundary edge \(0, 2\)"):
             load_mesh(path)
 
     def test_boundary_list_rejects_duplicates(self, tmp_path):
@@ -289,6 +352,16 @@ class TestTextFormat:
         path = tmp_path / "mesh.txt"
         path.write_text("nodes 3\n0 0\n1 0\n")
         with pytest.raises(MeshFormatError, match="unexpected end"):
+            load_mesh(path)
+
+    def test_boundary_count_beyond_file(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text(
+            "nodes 3\n0 0\n1 0\n0 1\n"
+            "triangles 1\n0 1 2\n"
+            "boundary 10000000000000\n0 1 1\n1 2 1\n2 0 0\n"
+        )
+        with pytest.raises(MeshFormatError, match="unexpected end of file"):
             load_mesh(path)
 
     def test_trailing_garbage(self, tmp_path):
