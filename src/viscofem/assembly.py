@@ -40,14 +40,16 @@ constrained diagonal is set to one. The column action of the unconstrained
 matrix on the prescribed values is subtracted from every right-hand side.
 The constrained matrix stays symmetric positive definite, and the
 constrained components of the solution carry the boundary values directly.
+Each system is compacted once, after the mask: its zero entries are
+dropped and its index arrays are int32, the index type SuperLU takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .fields import BoundaryData, DirichletSet
 from .mesh import GAMMA1, MeshGeometry
@@ -59,21 +61,41 @@ _ROUNDOFF = 8.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SparseSPD:
-    """A constrained stiffness in CSR storage: symmetric positive definite,
-    with unit diagonal rows at the constrained dofs. column_action is the
-    unconstrained matrix times the prescribed values, which reduce_rhs moves
-    to the right-hand side."""
+    """A constrained stiffness in CSR storage (int32 indices, no stored
+    zeros): symmetric positive definite, with unit diagonal rows at the
+    constrained dofs. column_action is the unconstrained matrix times the
+    prescribed values, which reduce_rhs moves to the right-hand side."""
 
-    matrix: sparse.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     constrained: np.ndarray
     values: np.ndarray
     column_action: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    @cached_property
+    def norm_inf(self) -> float:
+        """Largest absolute row sum."""
+        return float(_row_sums(self.indptr, np.abs(self.data)).max())
+
+    def matvec(self, x) -> np.ndarray:
+        return _row_sums(self.indptr, self.data * np.asarray(x, dtype=float)[self.indices])
 
     def reduce_rhs(self, rhs: np.ndarray) -> np.ndarray:
         """The right-hand side of the constrained system for a load rhs."""
         out = np.asarray(rhs, dtype=float) - self.column_action
         out[self.constrained] = self.values
         return out
+
+
+def _row_sums(indptr, values) -> np.ndarray:
+    """Per CSR row, the sum of its stored values in storage order."""
+    n = len(indptr) - 1
+    return np.bincount(np.repeat(np.arange(n), np.diff(indptr)), weights=values, minlength=n)
 
 
 @dataclass(frozen=True)
@@ -89,13 +111,6 @@ class Stiffness:
     cleared: np.ndarray  # per stored entry: in a constrained row or column
     pinned: np.ndarray   # slots of the constrained diagonal entries
 
-    def _csr(self, data) -> sparse.csr_matrix:
-        n = len(self.indptr) - 1
-        # a copy of the pattern, so eliminate_zeros cannot compact the shared one
-        A = sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n), copy=True)
-        A.eliminate_zeros()
-        return A
-
     def system(self, pair: Lame | Material) -> SparseSPD:
         """Constrained stiffness of a Lame pair."""
         data = pair.lam * self.trace + 2.0 * pair.mu * self.dev
@@ -103,10 +118,13 @@ class Stiffness:
         ds = self.dirichlet
         lift = np.zeros(len(self.indptr) - 1)
         lift[ds.dofs] = ds.flat_values
-        column_action = self._csr(data) @ lift
+        column_action = _row_sums(self.indptr, data * lift[self.indices])
         data[self.cleared] = 0.0
         data[self.pinned] = 1.0
-        return SparseSPD(self._csr(data), ds.dofs, ds.flat_values, column_action)
+        keep = data != 0.0
+        kept_before = np.concatenate(([0], np.cumsum(keep)))  # entries kept before each slot
+        return SparseSPD(kept_before[self.indptr].astype(np.int32), self.indices[keep], data[keep],
+                         ds.dofs, ds.flat_values, column_action)
 
 
 def assemble_stiffness(geom: MeshGeometry, ds: DirichletSet) -> Stiffness:
@@ -131,7 +149,7 @@ def assemble_stiffness(geom: MeshGeometry, ds: DirichletSet) -> Stiffness:
     cleared = fixed[rows] | fixed[cols]
     return Stiffness(
         indptr=np.searchsorted(rows, np.arange(n + 1)),
-        indices=cols,
+        indices=cols.astype(np.int32),
         trace=trace,
         dev=dev,
         dirichlet=ds,

@@ -124,6 +124,25 @@ def _boundary_edges(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
     return directed[first[counts == 1]]
 
 
+def edge_groups(mesh: Mesh) -> np.ndarray:
+    """Per triangle, the smallest index of a triangle in its edge-connected
+    group (triangles sharing only a vertex are in different groups)."""
+    keys = _edge_keys(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), mesh.n_nodes)
+    order = np.argsort(keys, kind="stable")
+    shared = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+    a, b = order[shared] // 3, order[shared + 1] // 3  # the two triangles of each inner edge
+    group = np.arange(mesh.n_triangles)
+    while True:
+        ga, gb = group[a], group[b]
+        if np.array_equal(ga, gb):
+            return group
+        # every label is a root here: hook the larger root of each edge onto
+        # the smaller one, then replace each label by its root
+        np.minimum.at(group, np.maximum(ga, gb), np.minimum(ga, gb))
+        while not np.array_equal(group[group], group):
+            group = group[group]
+
+
 def classify_boundary(mesh: Mesh, predicate) -> Mesh:
     """Relabel boundary edges by evaluating predicate at edge midpoints.
 
@@ -232,7 +251,8 @@ def _doubled_areas(nodes: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray
 
 def _edge_keys(edges: np.ndarray, n_nodes: int) -> np.ndarray:
     """Undirected key min * n_nodes + max of each edge."""
-    return edges.min(axis=1) * n_nodes + edges.max(axis=1)
+    i, j = edges[:, 0], edges[:, 1]
+    return np.minimum(i, j) * n_nodes + np.maximum(i, j)
 
 
 def _check_conforming(mesh: Mesh) -> None:

@@ -96,7 +96,6 @@ def write_summary(result: RunResult, path) -> str:
     cfg = result.config
     m = cfg.material
     n_steps = len(result.times) - 1
-    iters = result.iterations
     if cfg.mesh.path is not None:
         mesh_desc = f"file {cfg.mesh.path}"
     else:
@@ -111,7 +110,7 @@ def write_summary(result: RunResult, path) -> str:
         f"final sigma11 L-inf: {result.sigma_linf[-1, 0]:.12e}",
         f"max energy-identity residual: {result.identity_residual.max():.3e}",
         f"max tensor-update residual: {result.scheme_residual.max():.3e}",
-        f"solver iterations: min={iters.min()} max={iters.max()} total={iters.sum()}",
+        f"max solve backward error: {result.backward_error.max():.3e}",
         f"snapshots written: {len(result.snapshots)}",
         "",
     ]

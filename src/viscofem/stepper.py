@@ -16,10 +16,16 @@ tolerance; scheme_residual tracks that per step.
 The displacement matrices and the load vector are constant in time, so a
 Simulation assembles the stiffness once and keeps the two constrained
 systems built from it: the plain one (C) for equilibrium solves and the
-condensed one (C_eff) for the steps. The solver is warm-started from the
-previous displacement. Each step computes the strain of the new
-displacement once and hands it to the update, the energy, the scheme
-residual, the energy identity and the stress norm.
+condensed one (C_eff) for the steps. It factors a system on its first
+solve and keeps that one factor until another system is solved: a run
+factors the plain system for the initial state, then the condensed one
+for the steps, and never holds two factors. Each step computes the strain
+of the new displacement once and hands it to the update, the energy, the
+scheme residual, the energy identity and the stress norm.
+
+Each edge-connected group of triangles needs two Dirichlet nodes, or its
+rigid motions are not fixed and the plain system is singular; Simulation
+rejects a mesh with such a group before anything is factored.
 """
 
 from __future__ import annotations
@@ -32,13 +38,10 @@ import numpy as np
 from . import diagnostics
 from .assembly import SparseSPD, assemble_stiffness, load_vector, tensor_load
 from .fields import BoundaryData, build_dirichlet, strain_field, zero_tensor_field
-from .mesh import GAMMA0, Mesh, MeshGeometry, boundary_predicate, build_unit_square, classify_boundary, load_mesh
-from .solver import SolveReport, solve_spd
+from .mesh import (GAMMA0, Mesh, MeshGeometry, boundary_predicate, build_unit_square,
+                   classify_boundary, edge_groups, load_mesh)
+from .solver import SolveReport, SolverError, factorize, solve_spd
 from .tensors import Material, StepParams, apply_C, validate_material
-
-
-class SolverError(RuntimeError):
-    """Raised when a displacement solve fails to converge."""
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class SimulationState:
 
 @dataclass(frozen=True)
 class StepReport:
-    iterations: int
+    backward_error: float   # of the displacement solve
     residual: float
     scheme_residual: float
     identity_residual: float
@@ -95,7 +98,7 @@ class RunConfig:
 
 
 # A run records eleven 8-byte numbers per step (the time, six energy and
-# residual series, three stress maxima, the iteration count), so this
+# residual series, three stress maxima, the solve's backward error), so this
 # ceiling keeps that record under 1 GB before any field is stored.
 _MAX_STEPS = 10**7
 
@@ -131,7 +134,7 @@ class RunResult:
     identity_residual: np.ndarray
     scheme_residual: np.ndarray
     sigma_linf: np.ndarray     # (N+1, 3): max |sigma_xx|, |sigma_yy|, |sigma_xy|
-    iterations: np.ndarray
+    backward_error: np.ndarray  # of each level's displacement solve
     snapshots: list[SimulationState] = field(default_factory=list)
     sampled_pairs: dict[int, tuple[np.ndarray, SimulationState]] = field(default_factory=dict)
 
@@ -166,17 +169,21 @@ class Simulation:
         self.geom = MeshGeometry(mesh)
 
         self.dirichlet = build_dirichlet(mesh, cfg.bc.g)
+        _check_held(mesh, self.dirichlet.nodes)
         self.load = load_vector(self.geom, cfg.bc)
         stiffness = assemble_stiffness(self.geom, self.dirichlet)
         self.system_plain = stiffness.system(self.material)
         self.system_eff = stiffness.system(self.step_params.condensed)
+        self._factor = None  # (system, its factor) of the last system solved
 
-    def _solve(self, system: SparseSPD, rhs, x0, what: str) -> tuple[np.ndarray, SolveReport]:
-        x, rep = solve_spd(system, system.reduce_rhs(rhs), x0=x0)
+    def _solve(self, system: SparseSPD, rhs, what: str) -> tuple[np.ndarray, SolveReport]:
+        if self._factor is None or self._factor[0] is not system:
+            self._factor = None  # free the old factor before building the next
+            self._factor = (system, factorize(system))
+        x, rep = solve_spd(system, system.reduce_rhs(rhs), self._factor[1])
         if not rep.converged:
-            raise SolverError(
-                f"{what} failed: residual {rep.residual:.3e} after {rep.iterations} iterations"
-            )
+            raise SolverError(f"{what} failed: backward error {rep.backward_error:.3e}, "
+                              f"residual {rep.residual:.3e}")
         u = x.reshape(-1, 2)
         u[self.dirichlet.nodes] = self.dirichlet.values
         return u, rep
@@ -191,14 +198,14 @@ class Simulation:
         e = strain_field(self.geom, u)
         report = diagnostics.energy(self.geom, m, u, e, phi, self.load)
         state = SimulationState(k=0, t=0.0, u=u, phi=phi, energy=report.total)
-        return state, StepReport(rep.iterations, rep.residual, 0.0, 0.0, report,
+        return state, StepReport(rep.backward_error, rep.residual, 0.0, 0.0, report,
                                  diagnostics.stress_components_linf(m, e, phi))
 
     def step(self, state: SimulationState) -> tuple[SimulationState, StepReport]:
         m, sp = self.material, self.step_params
         k = state.k + 1
         rhs = tensor_load(self.geom, apply_C(sp.drag, state.phi)) + self.load
-        u, rep = self._solve(self.system_eff, rhs, state.u.ravel(), f"displacement solve at step {k}")
+        u, rep = self._solve(self.system_eff, rhs, f"displacement solve at step {k}")
 
         e = strain_field(self.geom, u)
         phi = apply_C(sp.relax_inv, apply_C(m, e) + sp.d * state.phi)
@@ -206,7 +213,7 @@ class Simulation:
         report = diagnostics.energy(self.geom, m, u, e, phi, self.load)
         new = SimulationState(k=k, t=k * sp.tau, u=u, phi=phi, energy=report.total)
         return new, StepReport(
-            iterations=rep.iterations,
+            backward_error=rep.backward_error,
             residual=rep.residual,
             scheme_residual=diagnostics.scheme_residual(m, sp, e, phi, state.phi),
             identity_residual=diagnostics.energy_identity_residual(
@@ -227,7 +234,7 @@ class Simulation:
         series = {name: np.empty(n + 1) for name in
                   ("energy", "elastic", "relax", "work", "identity", "scheme")}
         sigma_linf = np.empty((n + 1, 3))
-        iterations = np.empty(n + 1, dtype=np.int64)
+        backward_error = np.empty(n + 1)
         snapshots: list[SimulationState] = []
         pairs: dict[int, tuple[np.ndarray, SimulationState]] = {}
 
@@ -241,7 +248,7 @@ class Simulation:
             series["identity"][k] = rep.identity_residual
             series["scheme"][k] = rep.scheme_residual
             sigma_linf[k] = rep.sigma_linf
-            iterations[k] = rep.iterations
+            backward_error[k] = rep.backward_error
             if k == 0 or k == n or (cfg.cadence > 0 and k % cfg.cadence == 0):
                 snapshots.append(state)
             if k == n:
@@ -262,7 +269,7 @@ class Simulation:
             identity_residual=series["identity"],
             scheme_residual=series["scheme"],
             sigma_linf=sigma_linf,
-            iterations=iterations,
+            backward_error=backward_error,
             snapshots=snapshots,
             sampled_pairs=pairs,
         )
@@ -280,11 +287,31 @@ def run(cfg: RunConfig, phi0=None, sample_steps=None) -> RunResult:
     return sim.run(phi0=phi0, sample_steps=sample_steps)
 
 
-def equilibrium_solve(sim: Simulation, phi, x0=None) -> tuple[np.ndarray, SolveReport]:
+def equilibrium_solve(sim: Simulation, phi) -> tuple[np.ndarray, SolveReport]:
     """Displacement minimizing the energy at a frozen tensor field phi.
 
     Solves the plain system of sim with the right-hand side (C phi, e[v]) +
     l(v). The initial state and the gradient-flow probes use it.
     """
     rhs = tensor_load(sim.geom, apply_C(sim.material, phi)) + sim.load
-    return sim._solve(sim.system_plain, rhs, x0, "equilibrium solve")
+    return sim._solve(sim.system_plain, rhs, "equilibrium solve")
+
+
+def _check_held(mesh: Mesh, dirichlet_nodes: np.ndarray) -> None:
+    """Raise ValueError if an edge-connected group of triangles has fewer
+    than two Dirichlet nodes, naming one of its other nodes."""
+    group = edge_groups(mesh)
+    fixed = np.zeros(mesh.n_nodes, dtype=bool)
+    fixed[dirichlet_nodes] = True
+    # distinct (group, Dirichlet node) pairs, counted per group
+    pairs = np.unique((group[:, None] * mesh.n_nodes + mesh.triangles)[fixed[mesh.triangles]])
+    count = np.bincount(pairs // mesh.n_nodes, minlength=mesh.n_triangles)
+    roots = np.flatnonzero(group == np.arange(mesh.n_triangles))
+    loose = roots[count[roots] < 2]
+    if loose.size:
+        t = int(loose[0])
+        part = mesh.triangles[group == t]
+        raise ValueError(
+            f"the mesh part at node {int(part[~fixed[part]][0])} (triangle {t} and the "
+            f"triangles edge-connected to it) has {count[t]} Dirichlet node(s); at least "
+            f"two are needed to hold it")

@@ -15,7 +15,9 @@ yy, xy) coordinates by
      [0,          0,          2 mu]]
 """
 
+import mpmath
 import numpy as np
+import scipy.sparse as sparse
 import sympy as sp
 from scipy.spatial import Delaunay
 
@@ -89,8 +91,14 @@ def as_matrix(x) -> np.ndarray:
     return np.array([[xx, xy], [xy, yy]])
 
 
+def as_csr(system) -> sparse.csr_matrix:
+    """The CSR arrays of a SparseSPD as a scipy.sparse matrix, for dense,
+    transpose and pattern comparisons."""
+    return sparse.csr_matrix((system.data, system.indices, system.indptr), shape=(system.n, system.n))
+
+
 def dense_spd_solve(A, b) -> np.ndarray:
-    """Reference dense solve used against the iterative solver."""
+    """Reference dense solve used against the sparse factor."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     return np.linalg.solve(A, b)
@@ -105,7 +113,13 @@ def monolithic_step(nodes, triangles, dir_nodes, dir_values,
     the free displacement dofs and all per-element tensor components into one
     vector of unknowns, writes the equilibrium rows and the tensor update
     rows directly from the nodal coordinates, and hands the square system to
-    numpy. No geometry or assembly code is shared with the package.
+    numpy, refining the solution with residuals computed in 40 digits. No
+    geometry or assembly code is shared with the package.
+
+    The refinement matters at large eta/tau: the tensor rows scale with
+    it, the condition number of the system reaches 1.4e5 at eta/tau = 1e5,
+    and the plain double solve is then off by up to 1.4e-11, while the
+    refined one agrees with a 60-digit solve of the same system to 1e-16.
 
     dir_nodes/dir_values pin displacement nodes (values (k, 2)); f is an
     optional constant body force applied with the vertex quadrature rule.
@@ -176,12 +190,39 @@ def monolithic_step(nodes, triangles, dir_nodes, dir_values,
             b[dof] = value[c]
 
     x = np.linalg.solve(A, b)
+    with mpmath.workdps(40):
+        A_mp, b_mp = mpmath.matrix(A.tolist()), mpmath.matrix(b.tolist())
+        for _ in range(2):
+            r = b_mp - A_mp * mpmath.matrix(x.tolist())
+            x = x + np.linalg.solve(A, np.array(r.tolist(), dtype=float).ravel())
     return x[:n_u].reshape(n_nodes, 2), x[n_u:].reshape(n_tri, 3)
 
 
 # ---------------------------------------------------------------------------
 # test-side data helpers
 # ---------------------------------------------------------------------------
+
+
+def loop_edge_groups(triangles) -> np.ndarray:
+    """Per triangle, the smallest triangle index of its edge-connected
+    group, by union-find over a dict of the triangles of each edge."""
+    parent = list(range(len(triangles)))
+
+    def root(t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    first = {}
+    for t, tri in enumerate(triangles):
+        for i in range(3):
+            edge = tuple(sorted((int(tri[i]), int(tri[(i + 1) % 3]))))
+            if edge in first:
+                a, b = root(first[edge]), root(t)
+                parent[max(a, b)] = min(a, b)
+            else:
+                first[edge] = t
+    return np.array([root(t) for t in range(len(triangles))])
 
 
 def interpolate(mesh, func) -> np.ndarray:

@@ -20,6 +20,7 @@ from viscofem.tensors import Material, StepParams
 
 from oracles import (
     NO_DIRICHLET,
+    as_csr,
     delaunay_mesh,
     dense_spd_solve,
     effective_matrix,
@@ -35,7 +36,7 @@ UNIT = Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0)
 
 def stiffness_matrix(geom, pair):
     """Unconstrained stiffness of a Lame pair."""
-    return assemble_stiffness(geom, NO_DIRICHLET).system(pair).matrix
+    return as_csr(assemble_stiffness(geom, NO_DIRICHLET).system(pair))
 
 
 def left_arc(p):
@@ -177,7 +178,7 @@ class TestStiffnessProperties:
         geom = MeshGeometry(mesh)
         ds = build_dirichlet(mesh, AffineMap.zero())
         for pair in (UNIT, StepParams.from_material(UNIT, tau=0.01).condensed):
-            for A in (stiffness_matrix(geom, pair), assemble_stiffness(geom, ds).system(pair).matrix):
+            for A in (stiffness_matrix(geom, pair), as_csr(assemble_stiffness(geom, ds).system(pair))):
                 assert (A != A.T).nnz == 0
                 # roundoff-level entries are not stored, nor exact zeros
                 assert np.all(A.data != 0.0)
@@ -278,24 +279,24 @@ class TestDirichletElimination:
     def test_all_constrained_gives_identity(self):
         mesh = classify_boundary(build_unit_square(1, pattern="right"), lambda p: GAMMA0)
         geom, _, system = self.constrained(mesh)
-        assert_allclose(system.matrix.toarray(), np.eye(geom.n_dofs), atol=0)
+        assert_allclose(as_csr(system).toarray(), np.eye(geom.n_dofs), atol=0)
         assert_allclose(system.reduce_rhs(np.ones(geom.n_dofs)), 0.0, atol=0)
 
     def test_prescribed_values_enter_solution(self):
         mesh = classify_boundary(build_unit_square(2), sides)
         geom, ds, system = self.constrained(mesh, AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0]))
-        x = dense_spd_solve(system.matrix.toarray(), system.reduce_rhs(np.zeros(geom.n_dofs)))
+        x = dense_spd_solve(as_csr(system).toarray(), system.reduce_rhs(np.zeros(geom.n_dofs)))
         assert_allclose(x[ds.dofs], ds.flat_values, atol=1e-13)
 
     def test_reduced_matrix_spd_and_symmetric(self):
         _, _, system = self.constrained(classify_boundary(build_unit_square(3), top))
-        dense = system.matrix.toarray()
+        dense = as_csr(system).toarray()
         assert_allclose(dense, dense.T, atol=0)
         assert np.linalg.eigvalsh(dense).min() > 0.0
 
     def test_rows_and_columns_cleared(self):
         geom, ds, system = self.constrained(classify_boundary(build_unit_square(2), top))
-        dense = system.matrix.toarray()
+        dense = as_csr(system).toarray()
         free = np.setdiff1d(np.arange(geom.n_dofs), ds.dofs)
         assert_allclose(dense[np.ix_(ds.dofs, free)], 0.0, atol=0)
         assert_allclose(dense[np.ix_(free, ds.dofs)], 0.0, atol=0)
@@ -327,6 +328,6 @@ class TestDirichletElimination:
         g = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
         geom, _, system = self.constrained(mesh, g)
         bd = BoundaryData(g=g, q=[0.0, 0.0], f=[0.0, 0.0])
-        x = dense_spd_solve(system.matrix.toarray(), system.reduce_rhs(load_vector(geom, bd)))
+        x = dense_spd_solve(as_csr(system).toarray(), system.reduce_rhs(load_vector(geom, bd)))
         expected = interpolate(mesh, g).ravel()
         assert_allclose(x, expected, atol=1e-13)

@@ -23,7 +23,7 @@ from viscofem.stepper import Simulation, run
 from viscofem.tensors import stress
 
 from oracles import write_config
-from test_stepper import PULL, make_config
+from test_stepper import BOW_TIE_MESH, PULL, TWO_SQUARES_MESH, make_config
 
 BASE_LINES = [
     "[material]",
@@ -280,7 +280,7 @@ class TestOutputFiles:
         assert "unit square n=4 pattern=alternating" in text
         assert "dirichlet boundary: sides" in text
         assert f"final energy: {small_result.energy[-1]:.12e}" in text
-        assert "solver iterations:" in text
+        assert f"max solve backward error: {small_result.backward_error.max():.3e}" in text
 
     def test_outputs_are_deterministic(self, small_result, tmp_path):
         first = tmp_path / "a"
@@ -396,6 +396,20 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nan.mesh:4: expected a finite number" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text,node", [(TWO_SQUARES_MESH, 4), (BOW_TIE_MESH, 3)])
+    def test_solve_rejects_part_not_held(self, capsys, tmp_path, text, node):
+        mesh_path = tmp_path / "loose.mesh"
+        mesh_path.write_text(text)
+        path = tmp_path / "loose.cfg"
+        path.write_text(edited(replace=(10, f"path = {mesh_path}"))
+                        .replace("gamma0 = sides", "gamma0 = file"))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the mesh part at node {node} ")
+        assert "at least two are needed" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_check_config_missing_file(self, capsys, tmp_path):
         assert main(["check-config", str(tmp_path / "absent.cfg")]) == 1

@@ -13,10 +13,11 @@ from viscofem.mesh import (
     MeshGeometry,
     build_unit_square,
     classify_boundary,
+    edge_groups,
     load_mesh,
 )
 
-from oracles import loop_unit_square_triangles, save_mesh
+from oracles import delaunay_mesh, loop_edge_groups, loop_unit_square_triangles, save_mesh
 
 
 def top(p):
@@ -121,6 +122,34 @@ class TestBuild:
             build_unit_square(3, pattern="diagonal")
         with pytest.raises(ValueError, match="n="):
             build_unit_square(MAX_DIVISIONS + 1)
+
+
+class TestEdgeGroups:
+    def test_structured_square_is_one_group(self):
+        mesh = build_unit_square(7)
+        # shuffled, so the hooking cannot follow the row-by-row numbering
+        order = np.random.default_rng(5).permutation(mesh.n_triangles)
+        for triangles in (mesh.triangles, mesh.triangles[order]):
+            shuffled = Mesh(mesh.nodes, triangles, mesh.edges, mesh.edge_labels)
+            assert np.array_equal(edge_groups(shuffled), np.zeros(mesh.n_triangles))
+
+    def test_vertex_contact_does_not_join(self):
+        # a bow-tie: two triangles that share node 0 only
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        mesh = Mesh(nodes, np.array([[0, 1, 2], [0, 3, 4]]), np.empty((0, 2), dtype=int),
+                    np.empty(0, dtype=int))
+        assert edge_groups(mesh).tolist() == [0, 1]
+
+    def test_matches_union_find_on_punctured_meshes(self):
+        # random subsets of an unstructured mesh fall apart into several groups
+        rng = np.random.default_rng(6)
+        full = delaunay_mesh(n=8, seed=3)
+        for keep in (0.3, 0.5, 0.7):
+            triangles = full.triangles[rng.random(full.n_triangles) < keep]
+            mesh = Mesh(full.nodes, triangles, full.edges, full.edge_labels)
+            expected = loop_edge_groups(triangles)
+            assert np.unique(expected).size > 1
+            assert np.array_equal(edge_groups(mesh), expected)
 
 
 class TestClassify:

@@ -1,13 +1,15 @@
 """Time stepper tests: homogeneous recursions with closed-form references,
 a dense monolithic oracle for the split step, and run bookkeeping."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from viscofem.fields import AffineMap, BoundaryData, strain_field
 from viscofem.diagnostics import stress_components_linf
-from viscofem.mesh import MeshGeometry, build_unit_square, classify_boundary, boundary_predicate
+from viscofem.mesh import MeshGeometry, build_unit_square, classify_boundary, boundary_predicate, load_mesh
 from viscofem.stepper import (
     _MAX_STEPS,
     MeshSpec,
@@ -24,6 +26,20 @@ from viscofem.tensors import Material
 from oracles import interpolate, monolithic_step, save_mesh
 
 PULL = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
+
+# meshes with a part the Dirichlet nodes do not hold, in the text format:
+# two disjoint unit squares, only the first clamped on its left side, and a
+# bow-tie whose triangles share only node 0, one of them clamped
+TWO_SQUARES_MESH = (
+    "nodes 8\n0 0\n1 0\n1 1\n0 1\n2 0\n3 0\n3 1\n2 1\n"
+    "triangles 4\n0 1 2\n0 2 3\n4 5 6\n4 6 7\n"
+    "boundary 8\n0 1 1\n1 2 1\n2 3 1\n3 0 0\n4 5 1\n5 6 1\n6 7 1\n7 4 1\n"
+)
+BOW_TIE_MESH = (
+    "nodes 5\n0 0\n1 0\n0 1\n-1 0\n0 -1\n"
+    "triangles 2\n0 1 2\n0 3 4\n"
+    "boundary 6\n0 1 0\n1 2 0\n2 0 0\n0 3 1\n3 4 1\n4 0 1\n"
+)
 
 
 def make_config(n=4, gamma0="top", alpha=1.0, tau=0.01, t_end=0.05,
@@ -93,7 +109,7 @@ class TestZeroData:
             assert_allclose(state.u, 0.0, atol=0)
             assert_allclose(state.phi, 0.0, atol=0)
         # zero right-hand sides short-circuit the solver
-        assert np.all(result.iterations == 0)
+        assert np.all(result.backward_error == 0.0)
 
 
 class TestHomogeneousRecursion:
@@ -212,6 +228,15 @@ class TestMonolithicOracle:
         phi0 = 0.2 * np.random.default_rng(8).standard_normal((8, 3))
         self.compare_one_step(cfg, phi0)
 
+    @pytest.mark.parametrize("eta", [1.0, 10.0])
+    def test_alpha_zero_lam_near_minus_mu_fast_rate(self, eta):
+        # eta/tau = 1e4 and 1e5: the drag term makes the right-hand side
+        # up to 1e5 times the elastic one
+        cfg = make_config(n=2, gamma0="sides", g=PULL, lam=-0.9, mu=1.0,
+                          eta=eta, alpha=0.0, tau=1e-4, t_end=1e-4)
+        phi0 = 0.2 * np.random.default_rng(8).standard_normal((8, 3))
+        self.compare_one_step(cfg, phi0)
+
 
 class TestSubstitutionEquivalence:
     def test_displacement_re_solves_plain_system(self):
@@ -241,7 +266,7 @@ class TestRunBookkeeping:
         assert_allclose(result.times, 0.01 * np.arange(n + 1), atol=1e-14)
         for series in (result.energy, result.elastic, result.relax, result.work,
                        result.identity_residual, result.scheme_residual,
-                       result.iterations):
+                       result.backward_error):
             assert series.shape == (n + 1,)
         assert result.sigma_linf.shape == (n + 1, 3)
         assert [s.k for s in result.snapshots] == [0, 3, 6, 9, 10]
@@ -315,6 +340,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="GAMMA0"):
             Simulation(cfg)
 
+    @pytest.mark.parametrize("text,message", [
+        (TWO_SQUARES_MESH, "mesh part at node 4 (triangle 2 and the triangles edge-connected "
+                           "to it) has 0 Dirichlet node(s)"),
+        (BOW_TIE_MESH, "mesh part at node 3 (triangle 1 and the triangles edge-connected "
+                       "to it) has 1 Dirichlet node(s)"),
+    ])
+    def test_part_not_held_rejected(self, tmp_path, text, message):
+        # both plain systems are singular in exact arithmetic; the bow-tie's
+        # factor meets an exactly zero pivot, but the two squares' does not,
+        # and its solves pass the backward-error test with energies of 1e16
+        path = tmp_path / "loose.mesh"
+        path.write_text(text)
+        mesh = load_mesh(path)
+        cfg = make_config(t_end=0.02)
+        cfg = RunConfig(material=cfg.material, tau=cfg.tau, t_end=cfg.t_end,
+                        mesh=MeshSpec(path=str(path)), gamma0="file", bc=cfg.bc,
+                        cadence=0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Simulation(cfg)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Simulation(cfg, mesh=mesh)
+
     def test_inadmissible_material_rejected(self):
         cfg = make_config(mu=-1.0)
         with pytest.raises(ValueError, match="mu"):
@@ -343,7 +390,23 @@ class TestDeterminism:
         assert np.array_equal(first.u, second.u)
         assert np.array_equal(first.phi, second.phi)
         assert first.energy == second.energy
-        assert rep_first.iterations == rep_second.iterations
+        assert rep_first.backward_error == rep_second.backward_error
+
+
+class TestFactorLifetime:
+    def test_one_factor_built_on_first_solve(self):
+        cfg = make_config(n=3, gamma0="sides", g=PULL, t_end=0.02)
+        sim = Simulation(cfg)
+        assert sim._factor is None  # set-up factors nothing
+        state, _ = sim.initial_state()
+        assert sim._factor[0] is sim.system_plain
+        sim.step(state)
+        assert sim._factor[0] is sim.system_eff
+        lu = sim._factor[1]
+        sim.step(state)
+        assert sim._factor[1] is lu
+        equilibrium_solve(sim, state.phi)
+        assert sim._factor[0] is sim.system_plain
 
 
 class TestEquilibriumPatch:
