@@ -93,9 +93,9 @@ class SparseSPD:
 
 
 def _row_sums(indptr, values) -> np.ndarray:
-    """Per CSR row, the sum of its stored values in storage order."""
-    n = len(indptr) - 1
-    return np.bincount(np.repeat(np.arange(n), np.diff(indptr)), weights=values, minlength=n)
+    """Per CSR row, the sum of its stored values. Every row of a stiffness
+    pattern holds its diagonal, so no row is empty."""
+    return np.add.reduceat(values, indptr[:-1])
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def assemble_stiffness(geom: MeshGeometry, ds: DirichletSet) -> Stiffness:
 
 def tensor_load(geom: MeshGeometry, W: np.ndarray) -> np.ndarray:
     """(W, e[v]) for a P0 tensor field W, as a vector over all dofs."""
-    contrib = np.einsum("ea,a,eda->ed", np.asarray(W, dtype=float), DDOT_WEIGHTS, geom.strain_basis)
+    contrib = np.einsum("ea,eda->ed", np.asarray(W, dtype=float) * DDOT_WEIGHTS, geom.strain_basis)
     contrib *= geom.areas[:, None]
     return np.bincount(geom.dofs.ravel(), weights=contrib.ravel(), minlength=geom.n_dofs)
 

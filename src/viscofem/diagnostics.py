@@ -23,10 +23,11 @@ energy E*(phi) = min_u E(u, phi): for any direction psi,
 gradient_flow_check confronts the left side with a central difference of
 E* (two constrained solves per direction; E* is quadratic in phi, so the
 central difference is exact up to roundoff) and also with the closed form
-dE*(phi)[psi] = (alpha*phi - sigma[u(phi), phi], psi).
+dE*(phi)[psi] = (G, psi), G = alpha*phi - sigma[u(phi), phi]. reduced_gradient
+forms G with one constrained solve, once per pair, for all its directions.
 
 verify_result builds one fresh Simulation of the run's configuration and
-mesh per call, so every probe solves on a system assembled and factored
+geometry per call, so every probe solves on a system assembled and factored
 independently of the forward run; the Simulation factors its plain system
 once, on the first probe, and every other probe is a substitution.
 """
@@ -72,9 +73,9 @@ def energy(geom: MeshGeometry, m: Material, u, e, phi, load) -> EnergyReport:
     return EnergyReport(total=elastic + relax - work, elastic=elastic, relax=relax, work=work)
 
 
-def energy_identity_terms(geom: MeshGeometry, m: Material, tau: float, prev, curr, e):
-    """The four pieces of the per-step energy identity; e is the strain of
-    curr.u, and only the strain of prev.u is computed here.
+def energy_identity_terms(geom: MeshGeometry, m: Material, tau: float, prev, curr, e_prev, e):
+    """The four pieces of the per-step energy identity; e_prev and e are the
+    strains of prev.u and curr.u.
 
     Returns (dE, visc, relax_extra, elastic_extra): the difference quotient
     of the energy and the three nonnegative dissipation terms. The identity
@@ -82,7 +83,7 @@ def energy_identity_terms(geom: MeshGeometry, m: Material, tau: float, prev, cur
     """
     dphi = (curr.phi - prev.phi) / tau
     gap_curr = e - curr.phi
-    gap_prev = strain_field(geom, prev.u) - prev.phi
+    gap_prev = e_prev - prev.phi
     dgap = (gap_curr - gap_prev) / tau
     dE = (curr.energy - prev.energy) / tau
     visc = m.eta * psi_inner(geom, dphi, dphi)
@@ -91,9 +92,12 @@ def energy_identity_terms(geom: MeshGeometry, m: Material, tau: float, prev, cur
     return dE, visc, relax_extra, elastic_extra
 
 
-def energy_identity_residual(geom: MeshGeometry, m: Material, tau: float, prev, curr, e) -> float:
-    """Absolute defect of the per-step energy identity for a state pair."""
-    dE, visc, relax_extra, elastic_extra = energy_identity_terms(geom, m, tau, prev, curr, e)
+def energy_identity_residual(geom: MeshGeometry, m: Material, tau: float, prev, curr,
+                             e_prev, e) -> float:
+    """Absolute defect of the per-step energy identity for a state pair;
+    e_prev and e are the strains of prev.u and curr.u."""
+    dE, visc, relax_extra, elastic_extra = energy_identity_terms(
+        geom, m, tau, prev, curr, e_prev, e)
     return abs(dE + relax_extra + elastic_extra + visc)
 
 
@@ -135,9 +139,20 @@ def random_direction(geom: MeshGeometry, rng) -> np.ndarray:
     return psi / np.sqrt(psi_inner(geom, psi, psi))
 
 
-def gradient_flow_check(sim, phi, phi_prev, direction, eps: float = 1e-5) -> GradientFlowCheck:
+def reduced_gradient(sim, phi) -> np.ndarray:
+    """The field G = alpha*phi - sigma[u(phi), phi] of dE*(phi)[psi] = (G, psi),
+    from one constrained solve on sim.system_plain."""
+    from .stepper import equilibrium_solve  # deferred to avoid a module cycle
+
+    m = sim.material
+    u, _ = equilibrium_solve(sim, phi)
+    return m.alpha * np.asarray(phi) - stress(m, strain_field(sim.geom, u), phi)
+
+
+def gradient_flow_check(sim, phi, phi_prev, gradient, direction,
+                        eps: float = 1e-5) -> GradientFlowCheck:
     """Check the gradient-flow identity for one consecutive pair (phi_prev, phi)
-    on the operators of a Simulation sim.
+    on the operators of a Simulation sim; gradient is reduced_gradient(sim, phi).
 
     Each evaluation of the reduced energy runs a constrained solve on
     sim.system_plain.
@@ -156,10 +171,7 @@ def gradient_flow_check(sim, phi, phi_prev, direction, eps: float = 1e-5) -> Gra
     cd = (e_plus - e_minus) / (2.0 * eps)
 
     flow_lhs = sim.step_params.d * psi_inner(geom, np.asarray(phi) - np.asarray(phi_prev), psi)
-
-    u_at_phi, _ = equilibrium_solve(sim, phi)
-    sigma = stress(m, strain_field(geom, u_at_phi), phi)
-    derivative = psi_inner(geom, m.alpha * np.asarray(phi) - sigma, psi)
+    derivative = psi_inner(geom, gradient, psi)
 
     denom = max(1.0, abs(cd))
     return GradientFlowCheck(
@@ -203,12 +215,12 @@ def verify_result(
     """Structural checks on a finished run (see RunResult in the stepper).
 
     Gradient-flow checks run on the consecutive pairs the run sampled, on a
-    fresh Simulation of the run's configuration and mesh; the other checks
+    fresh Simulation of the run's configuration and geometry; the other checks
     cover every step.
     """
     from .stepper import Simulation  # deferred to avoid a module cycle
 
-    sim = Simulation(result.config, mesh=result.mesh)
+    sim = Simulation(result.config, geom=result.geom)
     messages = []
 
     E = result.energy
@@ -234,9 +246,10 @@ def verify_result(
     max_gradient = 0.0
     gradient_ok = True
     for k, (phi_prev, state) in sorted(result.sampled_pairs.items()):
+        gradient = reduced_gradient(sim, state.phi)
         for _ in range(directions):
             psi = random_direction(sim.geom, rng)
-            check = gradient_flow_check(sim, state.phi, phi_prev, psi, eps=eps)
+            check = gradient_flow_check(sim, state.phi, phi_prev, gradient, psi, eps=eps)
             worst = max(check.flow_error, check.derivative_error)
             if worst > max_gradient:
                 max_gradient = worst

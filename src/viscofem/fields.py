@@ -112,14 +112,7 @@ def zero_tensor_field(mesh: Mesh) -> np.ndarray:
 
 
 def strain_field(geom: MeshGeometry, u: np.ndarray) -> np.ndarray:
-    """Strain of a P1 displacement as a P0 tensor field, all elements at once."""
-    ul = np.asarray(u, dtype=float)[geom.mesh.triangles]  # (m, 3, 2)
-    g = geom.grads
-    out = np.empty((geom.mesh.n_triangles, 3))
-    out[:, 0] = np.einsum("mi,mi->m", ul[:, :, 0], g[:, :, 0])
-    out[:, 1] = np.einsum("mi,mi->m", ul[:, :, 1], g[:, :, 1])
-    out[:, 2] = 0.5 * (
-        np.einsum("mi,mi->m", ul[:, :, 0], g[:, :, 1])
-        + np.einsum("mi,mi->m", ul[:, :, 1], g[:, :, 0])
-    )
-    return out
+    """Strain of a P1 displacement as a P0 tensor field, all elements at once:
+    each element's six dof values against its six basis strains."""
+    ul = np.asarray(u, dtype=float).reshape(-1)[geom.dofs]  # (m, 6)
+    return np.einsum("md,mdc->mc", ul, geom.strain_basis)

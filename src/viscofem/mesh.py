@@ -192,7 +192,6 @@ class MeshGeometry:
     """Vectorized per-element geometry for the whole mesh.
 
     areas         (m,) triangle areas
-    grads         (m, 3, 2) barycentric gradients
     strain_basis  (m, 6, 3) strain of each local displacement basis
                   function, local dof order (n0x, n0y, n1x, n1y, n2x, n2y)
     dofs          (m, 6) global dof indices, dof 2*node + component
@@ -207,21 +206,18 @@ class MeshGeometry:
             raise ValueError(f"degenerate or negatively oriented triangle {k}, doubled area {det[k]}")
         self.areas = 0.5 * det
 
-        g = np.empty((mesh.n_triangles, 3, 2))
+        # strain of basis (node i, component c): sym(e_c outer grad_i), with
+        # grad_i the barycentric gradient (gx, gy) of node i
+        B = np.zeros((mesh.n_triangles, 6, 3))
         for i in range(3):
             pj = p[:, (i + 1) % 3]
             pk = p[:, (i + 2) % 3]
-            g[:, i, 0] = (pj[:, 1] - pk[:, 1]) / det
-            g[:, i, 1] = (pk[:, 0] - pj[:, 0]) / det
-        self.grads = g
-
-        # strain of basis (node i, component c): sym(e_c outer grad_i)
-        B = np.zeros((mesh.n_triangles, 6, 3))
-        for i in range(3):
-            B[:, 2 * i, 0] = g[:, i, 0]
-            B[:, 2 * i, 2] = 0.5 * g[:, i, 1]
-            B[:, 2 * i + 1, 1] = g[:, i, 1]
-            B[:, 2 * i + 1, 2] = 0.5 * g[:, i, 0]
+            gx = (pj[:, 1] - pk[:, 1]) / det
+            gy = (pk[:, 0] - pj[:, 0]) / det
+            B[:, 2 * i, 0] = gx
+            B[:, 2 * i, 2] = 0.5 * gy
+            B[:, 2 * i + 1, 1] = gy
+            B[:, 2 * i + 1, 2] = 0.5 * gx
         self.strain_basis = B
 
         dofs = np.empty((mesh.n_triangles, 6), dtype=np.int64)

@@ -12,17 +12,19 @@ per row, which gives the same bytes as formatting the rows one by one.
 The VTK files are legacy ASCII 2.0 unstructured grids: the undeformed
 mesh, the displacement as point vectors (warp by u in a viewer to see the
 deformed shape), and the internal tensor and stress fields as six cell
-scalars (xx, yy, xy each).
+scalars (xx, yy, xy each). write_outputs formats the mesh sections once
+and writes the same text into every snapshot.
 """
 
 from __future__ import annotations
 
+import io
 import os
 
 import numpy as np
 
 from .fields import strain_field
-from .mesh import MeshGeometry
+from .mesh import Mesh
 from .stepper import RunResult, SimulationState
 from .tensors import stress
 
@@ -34,10 +36,10 @@ def write_outputs(result: RunResult, outdir) -> list[str]:
         write_energy_csv(result, os.path.join(outdir, "energy.csv")),
         write_stress_csv(result, os.path.join(outdir, "stress.csv")),
     ]
-    geom = MeshGeometry(result.mesh)
+    mesh_text = _mesh_text(result.mesh)
     for state in result.snapshots:
         name = os.path.join(outdir, f"state_{state.k:06d}.vtk")
-        paths.append(write_vtk(result, state, name, geom=geom))
+        paths.append(write_vtk(result, state, name, mesh_text))
     paths.append(write_summary(result, os.path.join(outdir, "summary.txt")))
     return paths
 
@@ -67,20 +69,29 @@ def write_stress_csv(result: RunResult, path) -> str:
     return path
 
 
-def write_vtk(result: RunResult, state: SimulationState, path, geom: MeshGeometry) -> str:
+def _mesh_text(mesh: Mesh) -> str:
+    """The POINTS, CELLS and CELL_TYPES sections of a VTK file of mesh."""
+    n, m = mesh.n_nodes, mesh.n_triangles
+    f = io.StringIO()
+    f.write(f"POINTS {n} double\n")
+    _write_rows(f, "%.12e %.12e 0.0\n", mesh.nodes)
+    f.write(f"CELLS {m} {4 * m}\n")
+    _write_rows(f, "3 %d %d %d\n", mesh.triangles)
+    f.write(f"CELL_TYPES {m}\n")
+    f.write("5\n" * m)
+    return f.getvalue()
+
+
+def write_vtk(result: RunResult, state: SimulationState, path, mesh_text: str | None = None) -> str:
+    """One VTK snapshot; mesh_text is _mesh_text(result.mesh), formatted here if not given."""
     mesh = result.mesh
-    sigma = stress(result.config.material, strain_field(geom, state.u), state.phi)
+    sigma = stress(result.config.material, strain_field(result.geom, state.u), state.phi)
     n, m = mesh.n_nodes, mesh.n_triangles
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 2.0\n")
         f.write(f"viscofem state k={state.k} t={state.t:.6f}\n")
         f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {n} double\n")
-        _write_rows(f, "%.12e %.12e 0.0\n", mesh.nodes)
-        f.write(f"CELLS {m} {4 * m}\n")
-        _write_rows(f, "3 %d %d %d\n", mesh.triangles)
-        f.write(f"CELL_TYPES {m}\n")
-        f.write("5\n" * m)
+        f.write(_mesh_text(mesh) if mesh_text is None else mesh_text)
         f.write(f"POINT_DATA {n}\n")
         f.write("VECTORS u double\n")
         _write_rows(f, "%.12e %.12e 0.0\n", state.u)

@@ -19,9 +19,15 @@ systems built from it: the plain one (C) for equilibrium solves and the
 condensed one (C_eff) for the steps. It factors a system on its first
 solve and keeps that one factor until another system is solved: a run
 factors the plain system for the initial state, then the condensed one
-for the steps, and never holds two factors. Each step computes the strain
-of the new displacement once and hands it to the update, the energy, the
-scheme residual, the energy identity and the stress norm.
+for the steps, and never holds two factors.
+
+The strain is computed once per step. Each step computes the strain of
+the new displacement and hands it to the update, the energy, the scheme
+residual, the energy identity and the stress norm. The identity also needs
+the strain of the previous displacement: a Simulation remembers the strain
+of the last state it produced and reuses it when that state is stepped,
+and computes it only for a state it did not produce (a custom driver's).
+States are treated as immutable.
 
 Each edge-connected group of triangles needs two Dirichlet nodes, or its
 rigid motions are not fixed and the plain system is singular; Simulation
@@ -125,7 +131,7 @@ class RunResult:
     """Full trajectory record of one run. Arrays have one row per time level."""
 
     config: RunConfig
-    mesh: Mesh
+    geom: MeshGeometry
     times: np.ndarray
     energy: np.ndarray
     elastic: np.ndarray
@@ -139,6 +145,10 @@ class RunResult:
     sampled_pairs: dict[int, tuple[np.ndarray, SimulationState]] = field(default_factory=dict)
 
     @property
+    def mesh(self) -> Mesh:
+        return self.geom.mesh
+
+    @property
     def final(self) -> SimulationState:
         return self.snapshots[-1]
 
@@ -147,14 +157,18 @@ class Simulation:
     """Precomputed operators for one configuration; states flow through step().
 
     A preclassified mesh may be handed in to bypass cfg.mesh / cfg.gamma0
-    (used by tests running on tiny hand-built meshes).
+    (used by tests running on tiny hand-built meshes), or the MeshGeometry
+    of one, which is then used as is (verify_result reuses a run's).
     """
 
-    def __init__(self, cfg: RunConfig, mesh: Mesh | None = None):
+    def __init__(self, cfg: RunConfig, mesh: Mesh | None = None,
+                 geom: MeshGeometry | None = None):
         validate_material(cfg.material)
         self.config = cfg
         self.material = cfg.material
         self.step_params = StepParams.from_material(cfg.material, cfg.tau)
+        if geom is not None:
+            mesh = geom.mesh
         if mesh is None:
             mesh = cfg.mesh.build()
             if cfg.gamma0 == "file":
@@ -166,7 +180,7 @@ class Simulation:
         elif not np.any(mesh.edge_labels == GAMMA0):
             raise ValueError("supplied mesh has no Dirichlet (GAMMA0) edges")
         self.mesh = mesh
-        self.geom = MeshGeometry(mesh)
+        self.geom = MeshGeometry(mesh) if geom is None else geom
 
         self.dirichlet = build_dirichlet(mesh, cfg.bc.g)
         _check_held(mesh, self.dirichlet.nodes)
@@ -175,6 +189,7 @@ class Simulation:
         self.system_plain = stiffness.system(self.material)
         self.system_eff = stiffness.system(self.step_params.condensed)
         self._factor = None  # (system, its factor) of the last system solved
+        self._last = None    # (state, its strain) of the last state produced
 
     def _solve(self, system: SparseSPD, rhs, what: str) -> tuple[np.ndarray, SolveReport]:
         if self._factor is None or self._factor[0] is not system:
@@ -188,6 +203,12 @@ class Simulation:
         u[self.dirichlet.nodes] = self.dirichlet.values
         return u, rep
 
+    def _strain_of(self, state: SimulationState) -> np.ndarray:
+        """Strain of state.u, remembered when state is the last one produced."""
+        if self._last is not None and self._last[0] is state:
+            return self._last[1]
+        return strain_field(self.geom, state.u)
+
     def initial_state(self, phi0: np.ndarray | None = None) -> tuple[SimulationState, StepReport]:
         """Equilibrium displacement for the initial tensor field (default 0)."""
         phi = zero_tensor_field(self.mesh) if phi0 is None else np.array(phi0, dtype=float)
@@ -198,12 +219,14 @@ class Simulation:
         e = strain_field(self.geom, u)
         report = diagnostics.energy(self.geom, m, u, e, phi, self.load)
         state = SimulationState(k=0, t=0.0, u=u, phi=phi, energy=report.total)
+        self._last = (state, e)
         return state, StepReport(rep.backward_error, rep.residual, 0.0, 0.0, report,
                                  diagnostics.stress_components_linf(m, e, phi))
 
     def step(self, state: SimulationState) -> tuple[SimulationState, StepReport]:
         m, sp = self.material, self.step_params
         k = state.k + 1
+        e_prev = self._strain_of(state)
         rhs = tensor_load(self.geom, apply_C(sp.drag, state.phi)) + self.load
         u, rep = self._solve(self.system_eff, rhs, f"displacement solve at step {k}")
 
@@ -212,12 +235,13 @@ class Simulation:
 
         report = diagnostics.energy(self.geom, m, u, e, phi, self.load)
         new = SimulationState(k=k, t=k * sp.tau, u=u, phi=phi, energy=report.total)
+        self._last = (new, e)
         return new, StepReport(
             backward_error=rep.backward_error,
             residual=rep.residual,
             scheme_residual=diagnostics.scheme_residual(m, sp, e, phi, state.phi),
             identity_residual=diagnostics.energy_identity_residual(
-                self.geom, m, sp.tau, state, new, e),
+                self.geom, m, sp.tau, state, new, e_prev, e),
             energy=report,
             sigma_linf=diagnostics.stress_components_linf(m, e, phi),
         )
@@ -260,7 +284,7 @@ class Simulation:
 
         return RunResult(
             config=cfg,
-            mesh=self.mesh,
+            geom=self.geom,
             times=times,
             energy=series["energy"],
             elastic=series["elastic"],

@@ -230,6 +230,12 @@ def interpolate(mesh, func) -> np.ndarray:
     return np.asarray(func(mesh.nodes), dtype=float).reshape(mesh.n_nodes, 2)
 
 
+def gradients(geom) -> np.ndarray:
+    """(m, 3, 2) barycentric gradients, read off geom.strain_basis."""
+    B = geom.strain_basis
+    return np.stack([B[:, 0::2, 0], B[:, 1::2, 1]], axis=-1)
+
+
 def zero_displacement(mesh) -> np.ndarray:
     return np.zeros((mesh.n_nodes, 2))
 

@@ -290,6 +290,15 @@ class TestOutputFiles:
         for path in sorted(first.iterdir()):
             assert path.read_bytes() == (second / path.name).read_bytes()
 
+    def test_snapshots_equal_standalone_vtk(self, small_result, tmp_path):
+        # write_outputs shares one mesh text between its snapshots
+        write_outputs(small_result, tmp_path / "all")
+        for state in small_result.snapshots:
+            name = f"state_{state.k:06d}.vtk"
+            alone = outputs.write_vtk(small_result, state, tmp_path / name)
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / name).read_bytes()
+            assert alone == tmp_path / name
+
     def test_rerun_is_bit_identical(self, small_result, tmp_path):
         cfg = small_result.config
         again = Simulation(cfg).run()

@@ -14,6 +14,7 @@ from viscofem.diagnostics import (
     gradient_flow_check,
     psi_inner,
     random_direction,
+    reduced_gradient,
     scheme_residual,
     stress_components_linf,
     verify_result,
@@ -103,15 +104,16 @@ class TestEnergyIdentity:
     def test_residual_vanishes_on_real_steps(self):
         sim, states = self.consecutive_states()
         for prev, curr in zip(states, states[1:]):
-            e = strain_field(sim.geom, curr.u)
-            r = energy_identity_residual(sim.geom, sim.material, 0.01, prev, curr, e)
+            e_prev, e = strain_field(sim.geom, prev.u), strain_field(sim.geom, curr.u)
+            r = energy_identity_residual(sim.geom, sim.material, 0.01, prev, curr, e_prev, e)
             assert r <= 1e-10
 
     def test_terms_have_the_right_signs(self):
         sim, states = self.consecutive_states(alpha=2.0)
         for prev, curr in zip(states, states[1:]):
             dE, visc, relax_extra, elastic_extra = energy_identity_terms(
-                sim.geom, sim.material, 0.01, prev, curr, strain_field(sim.geom, curr.u))
+                sim.geom, sim.material, 0.01, prev, curr, strain_field(sim.geom, prev.u),
+                strain_field(sim.geom, curr.u))
             assert visc >= 0.0
             assert relax_extra >= 0.0
             assert elastic_extra >= 0.0
@@ -123,8 +125,9 @@ class TestEnergyIdentity:
         prev, curr = states[2], states[3]
         tampered = SimulationState(k=curr.k, t=curr.t, u=curr.u,
                                    phi=curr.phi + 1e-3, energy=curr.energy)
-        e = strain_field(sim.geom, tampered.u)
-        assert energy_identity_residual(sim.geom, sim.material, 0.01, prev, tampered, e) > 1e-6
+        e_prev, e = strain_field(sim.geom, prev.u), strain_field(sim.geom, tampered.u)
+        assert energy_identity_residual(
+            sim.geom, sim.material, 0.01, prev, tampered, e_prev, e) > 1e-6
 
     def test_zero_data_identity_is_exact(self):
         sim, _ = self.consecutive_states()
@@ -132,7 +135,7 @@ class TestEnergyIdentity:
                                phi=zero_tensor_field(sim.mesh), energy=0.0)
         also_zero = SimulationState(k=1, t=0.01, u=zero.u, phi=zero.phi, energy=0.0)
         e = strain_field(sim.geom, also_zero.u)
-        assert energy_identity_residual(sim.geom, sim.material, 0.01, zero, also_zero, e) == 0.0
+        assert energy_identity_residual(sim.geom, sim.material, 0.01, zero, also_zero, e, e) == 0.0
 
 
 class TestSchemeResidual:
@@ -197,9 +200,10 @@ class TestGradientFlowProbe:
         prev_phi = state.phi
         state, _ = sim.step(state)
         rng = np.random.default_rng(5)
+        gradient = reduced_gradient(sim, state.phi)
         for _ in range(3):
             psi = random_direction(sim.geom, rng)
-            check = gradient_flow_check(sim, state.phi, prev_phi, psi)
+            check = gradient_flow_check(sim, state.phi, prev_phi, gradient, psi)
             assert check.flow_error <= 1e-6
             assert check.derivative_error <= 1e-6
 
@@ -211,7 +215,8 @@ class TestGradientFlowProbe:
         state, _ = sim.step(state)
         rng = np.random.default_rng(6)
         psi = random_direction(sim.geom, rng)
-        check = gradient_flow_check(sim, state.phi + 0.05, prev_phi, psi)
+        phi = state.phi + 0.05
+        check = gradient_flow_check(sim, phi, prev_phi, reduced_gradient(sim, phi), psi)
         assert max(check.flow_error, check.derivative_error) > 1e-3
 
 

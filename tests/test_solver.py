@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,8 +51,8 @@ class TestSmallSystems:
         x, report = solve(spd(A), b)
         assert report.converged
         assert_allclose(x, [1.0 / 11.0, 7.0 / 11.0], rtol=1e-12)
-        # one substitution and one refinement pass
-        assert report.iterations == 2
+        # the first substitution is accepted, so no refinement pass
+        assert report.iterations == 1
 
     def test_identity(self):
         rng = np.random.default_rng(41)
@@ -129,8 +130,19 @@ class TestSettingsAndFailure:
         _, report = solve(spd(sparse.identity(2)), np.array([1.0, 0.0]))
         assert isinstance(report, SolveReport)
         assert report.residual <= 1e-12
-        assert report.iterations == 2
+        assert report.iterations == 1
         assert 0.0 <= report.backward_error <= 1e-14
+
+    def test_inexact_factor_is_refined(self):
+        # the factor of (1 + 1e-9) A leaves a backward error near 1e-9 after
+        # the first substitution; one refinement pass brings it under _TOL
+        _, system, rhs, _ = reduced_patch_system(n=4, predicate=sides)
+        lu = factorize(replace(system, data=(1.0 + 1e-9) * system.data))
+        x, report = solve_spd(system, rhs, lu)
+        assert report.iterations == 2
+        assert report.converged
+        assert report.backward_error <= 1e-14
+        assert_allclose(x, dense_spd_solve(as_csr(system).toarray(), rhs), atol=1e-10)
 
 
 class TestSuperLULoader:

@@ -15,6 +15,7 @@ from viscofem.stepper import (
     MeshSpec,
     RunConfig,
     Simulation,
+    SimulationState,
     SolverError,
     count_steps,
     default_sample_steps,
@@ -391,6 +392,39 @@ class TestDeterminism:
         assert np.array_equal(first.phi, second.phi)
         assert first.energy == second.energy
         assert rep_first.backward_error == rep_second.backward_error
+
+
+class TestStrainOnce:
+    def test_one_strain_per_step(self, monkeypatch):
+        from viscofem import diagnostics, stepper
+
+        calls = []
+
+        def counted(geom, u):
+            calls.append(1)
+            return strain_field(geom, u)
+
+        monkeypatch.setattr(stepper, "strain_field", counted)
+        monkeypatch.setattr(diagnostics, "strain_field", counted)
+        cfg = make_config(n=3, gamma0="sides", g=PULL, t_end=0.05)
+        Simulation(cfg).run()
+        assert len(calls) == cfg.n_steps + 1  # one per step, one for the initial state
+
+    def test_state_from_elsewhere_gives_the_same_report(self):
+        cfg = make_config(n=4, gamma0="sides", g=PULL, t_end=0.02)
+        sim = Simulation(cfg)
+        state, _ = sim.initial_state()
+        first, _ = sim.step(state)
+        cached, rep_cached = sim.step(first)
+        # a copy of first, which this Simulation did not produce: its strain is recomputed
+        copy = SimulationState(first.k, first.t, first.u.copy(), first.phi.copy(), first.energy)
+        other, rep_other = sim.step(copy)
+        assert np.array_equal(other.u, cached.u) and np.array_equal(other.phi, cached.phi)
+        assert rep_other.identity_residual == rep_cached.identity_residual
+        assert rep_other.scheme_residual == rep_cached.scheme_residual
+        assert rep_other.energy == rep_cached.energy
+        assert np.array_equal(rep_other.sigma_linf, rep_cached.sigma_linf)
+        assert rep_other.backward_error == rep_cached.backward_error
 
 
 class TestFactorLifetime:
