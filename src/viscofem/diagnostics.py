@@ -7,7 +7,10 @@ The discrete energy of a state (u, phi) is
 with ||X||_C^2 the elasticity inner product of X with itself, ||.|| the
 plain tensor L2 norm and l the load functional. All three pieces are exact:
 the integrands are piecewise constant, and l against a P1 field is a dot
-product with the assembled load vector.
+product with the assembled load vector. Every L2 inner product of two P0
+tensor fields is one contraction against DDOT_WEIGHTS and one dot product
+with the element areas (psi_inner), and the elasticity one is the plain one
+against the stress: ||e - phi||_C^2 = (sigma, e - phi).
 
 Two structural identities of the scheme are checked here. Per step,
 
@@ -15,8 +18,9 @@ Two structural identities of the scheme are checked here. Per step,
         =  - eta ||dphi||^2
 
 with dX the backward difference quotient; energy_identity_residual returns
-the absolute defect. And the update is the gradient flow of the reduced
-energy E*(phi) = min_u E(u, phi): for any direction psi,
+the absolute defect, using C d(e - phi) = (sigma^k - sigma^{k-1})/tau. And
+the update is the gradient flow of the reduced energy E*(phi) =
+min_u E(u, phi): for any direction psi,
 
     eta (dphi, psi)  =  - dE*(phi)[psi]
 
@@ -25,6 +29,13 @@ E* (two constrained solves per direction; E* is quadratic in phi, so the
 central difference is exact up to roundoff) and also with the closed form
 dE*(phi)[psi] = (G, psi), G = alpha*phi - sigma[u(phi), phi]. reduced_gradient
 forms G with one constrained solve, once per pair, for all its directions.
+
+The per-state checks (energy, scheme_residual, the energy identity,
+stress_components_linf) take the Stress of a state, tensors.stress(C, e,
+phi) with e the strain of its displacement, instead of recomputing it: a
+driver, and the stepper, forms it once per state. Each check reads its
+fields directly, so a broken tensor update shows in the scheme residual
+whatever produced it.
 
 verify_result builds one fresh Simulation of the run's configuration and
 geometry per call, so every probe solves on a system assembled and factored
@@ -40,7 +51,7 @@ import numpy as np
 
 from .fields import strain_field
 from .mesh import MeshGeometry
-from .tensors import Material, apply_C, ddot, stress
+from .tensors import DDOT_WEIGHTS, Material, Stress, stress
 
 
 @dataclass(frozen=True)
@@ -55,70 +66,61 @@ class EnergyReport:
 
 def psi_inner(geom: MeshGeometry, X, Y) -> float:
     """L2 inner product of two P0 tensor fields."""
-    return float(np.dot(geom.areas, ddot(X, Y)))
+    return float(np.dot(geom.areas, np.multiply(X, Y) @ DDOT_WEIGHTS))
 
 
-def c_inner_field(geom: MeshGeometry, m: Material, X, Y) -> float:
-    """Elasticity-weighted L2 inner product of two P0 tensor fields."""
-    return float(np.dot(geom.areas, ddot(apply_C(m, X), Y)))
-
-
-def energy(geom: MeshGeometry, m: Material, u, e, phi, load) -> EnergyReport:
-    """Energy of the state (u, phi); e is the strain of u and load the
-    assembled load vector, so l(u) = load . u."""
-    gap = e - np.asarray(phi, dtype=float)
-    elastic = 0.5 * c_inner_field(geom, m, gap, gap)
+def energy(geom: MeshGeometry, m: Material, u, phi, st: Stress, load) -> EnergyReport:
+    """Energy of the state (u, phi); st is its Stress and load the assembled
+    load vector, so l(u) = load . u."""
+    elastic = 0.5 * psi_inner(geom, st.sigma, st.gap)
     relax = 0.5 * m.alpha * psi_inner(geom, phi, phi)
     work = float(load @ np.asarray(u, dtype=float).ravel())
     return EnergyReport(total=elastic + relax - work, elastic=elastic, relax=relax, work=work)
 
 
-def energy_identity_terms(geom: MeshGeometry, m: Material, tau: float, prev, curr, e_prev, e):
-    """The four pieces of the per-step energy identity; e_prev and e are the
-    strains of prev.u and curr.u.
+def energy_identity_terms(geom: MeshGeometry, m: Material, tau: float, prev, curr,
+                          st_prev: Stress, st: Stress):
+    """The four pieces of the per-step energy identity; st_prev and st are
+    the Stress of prev and curr.
 
     Returns (dE, visc, relax_extra, elastic_extra): the difference quotient
     of the energy and the three nonnegative dissipation terms. The identity
     states dE + relax_extra + elastic_extra = -visc.
     """
-    dphi = (curr.phi - prev.phi) / tau
-    gap_curr = e - curr.phi
-    gap_prev = e_prev - prev.phi
-    dgap = (gap_curr - gap_prev) / tau
+    dphi = curr.phi - prev.phi
+    dphi_sq = psi_inner(geom, dphi, dphi) / tau**2  # ||dphi||^2 of the quotient
     dE = (curr.energy - prev.energy) / tau
-    visc = m.eta * psi_inner(geom, dphi, dphi)
-    relax_extra = 0.5 * m.alpha * tau * psi_inner(geom, dphi, dphi)
-    elastic_extra = 0.5 * tau * c_inner_field(geom, m, dgap, dgap)
+    visc = m.eta * dphi_sq
+    relax_extra = 0.5 * m.alpha * tau * dphi_sq
+    elastic_extra = 0.5 / tau * psi_inner(geom, st.sigma - st_prev.sigma, st.gap - st_prev.gap)
     return dE, visc, relax_extra, elastic_extra
 
 
 def energy_identity_residual(geom: MeshGeometry, m: Material, tau: float, prev, curr,
-                             e_prev, e) -> float:
+                             st_prev: Stress, st: Stress) -> float:
     """Absolute defect of the per-step energy identity for a state pair;
-    e_prev and e are the strains of prev.u and curr.u."""
+    st_prev and st are the Stress of prev and curr."""
     dE, visc, relax_extra, elastic_extra = energy_identity_terms(
-        geom, m, tau, prev, curr, e_prev, e)
+        geom, m, tau, prev, curr, st_prev, st)
     return abs(dE + relax_extra + elastic_extra + visc)
 
 
-def scheme_residual(m: Material, step, e, phi, phi_prev) -> float:
-    """Max elementwise residual of the implicit tensor update.
+def scheme_residual(m: Material, step, phi, phi_prev, sigma) -> float:
+    """Max elementwise residual of the implicit tensor update; sigma is the
+    stress of the new state (u, phi), step its StepParams.
 
     The update solves eta*dphi + alpha*phi - sigma[u, phi] = 0 exactly by
     construction, so anything beyond roundoff indicates a broken step.
     """
-    resid = (
-        step.d * (np.asarray(phi) - np.asarray(phi_prev))
-        + m.alpha * np.asarray(phi)
-        - stress(m, e, phi)
-    )
+    resid = step.d * np.subtract(phi, phi_prev) + m.alpha * np.asarray(phi) - sigma
     return float(np.abs(resid).max())
 
 
-def stress_components_linf(m: Material, e, phi) -> np.ndarray:
-    """Elementwise max of |sigma_xx|, |sigma_yy|, |sigma_xy| (exact for P0);
-    e is the strain of the displacement."""
-    return np.abs(stress(m, e, phi)).max(axis=0)
+def stress_components_linf(sigma) -> np.ndarray:
+    """Elementwise max of |sigma_xx|, |sigma_yy|, |sigma_xy| (exact for P0)."""
+    # reduced along contiguous rows: a column reduction of an (m, 3) array
+    # costs several times as much
+    return np.abs(np.transpose(sigma), order="C").max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +146,9 @@ def reduced_gradient(sim, phi) -> np.ndarray:
     from one constrained solve on sim.system_plain."""
     from .stepper import equilibrium_solve  # deferred to avoid a module cycle
 
-    m = sim.material
     u, _ = equilibrium_solve(sim, phi)
-    return m.alpha * np.asarray(phi) - stress(m, strain_field(sim.geom, u), phi)
+    sigma = stress(sim.step_params.C, strain_field(sim.geom, u), phi).sigma
+    return sim.material.alpha * np.asarray(phi) - sigma
 
 
 def gradient_flow_check(sim, phi, phi_prev, gradient, direction,
@@ -159,12 +161,13 @@ def gradient_flow_check(sim, phi, phi_prev, gradient, direction,
     """
     from .stepper import equilibrium_solve  # deferred to avoid a module cycle
 
-    geom, m = sim.geom, sim.material
+    geom, m, C = sim.geom, sim.material, sim.step_params.C
     psi = np.asarray(direction, dtype=float)
 
     def reduced_energy(tensor_field):
         u, _ = equilibrium_solve(sim, tensor_field)
-        return energy(geom, m, u, strain_field(geom, u), tensor_field, sim.load).total
+        st = stress(C, strain_field(geom, u), tensor_field)
+        return energy(geom, m, u, tensor_field, st, sim.load).total
 
     e_plus = reduced_energy(phi + eps * psi)
     e_minus = reduced_energy(phi - eps * psi)

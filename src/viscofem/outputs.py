@@ -85,7 +85,7 @@ def _mesh_text(mesh: Mesh) -> str:
 def write_vtk(result: RunResult, state: SimulationState, path, mesh_text: str | None = None) -> str:
     """One VTK snapshot; mesh_text is _mesh_text(result.mesh), formatted here if not given."""
     mesh = result.mesh
-    sigma = stress(result.config.material, strain_field(result.geom, state.u), state.phi)
+    sigma = stress(result.config.material, strain_field(result.geom, state.u), state.phi).sigma
     n, m = mesh.n_nodes, mesh.n_triangles
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 2.0\n")

@@ -5,13 +5,15 @@ tensor field elementwise:
 
     solve   (C_eff e[u^k], e[v]) = (drag phi^{k-1}, e[v]) + l(v)
     update  phi^k = R^-1 (C e[u^k] + eta/tau * phi^{k-1})
+                  = (C R^-1) e[u^k] + (eta/tau R^-1) phi^{k-1}
 
 R is the per-element step operator (eta/tau + alpha) I + C, C_eff the
-condensed stiffness C (I - R^-1 C) and drag = eta/tau * C R^-1; all three
-are isotropic and applied as Lame pairs (see tensors). Substituting the
-update back into the balance equation recovers the coupled implicit system
-exactly, so the pair (u^k, phi^k) satisfies both equations to solver
-tolerance; scheme_residual tracks that per step.
+condensed stiffness C (I - R^-1 C) and drag = eta/tau * C R^-1; all of them
+are isotropic, so they commute, and a step applies each as one 3x3 matrix
+precomputed in StepParams (see tensors). Substituting the update back into
+the balance equation recovers the coupled implicit system exactly, so the
+pair (u^k, phi^k) satisfies both equations to solver tolerance;
+scheme_residual tracks that per step.
 
 The displacement matrices and the load vector are constant in time, so a
 Simulation assembles the stiffness once and keeps the two constrained
@@ -21,13 +23,15 @@ solve and keeps that one factor until another system is solved: a run
 factors the plain system for the initial state, then the condensed one
 for the steps, and never holds two factors.
 
-The strain is computed once per step. Each step computes the strain of
-the new displacement and hands it to the update, the energy, the scheme
-residual, the energy identity and the stress norm. The identity also needs
-the strain of the previous displacement: a Simulation remembers the strain
-of the last state it produced and reuses it when that state is stepped,
-and computes it only for a state it did not produce (a custom driver's).
-States are treated as immutable.
+Each field of a state is computed once. A step computes the strain e of
+the new displacement, the update phi from it, and the new state's Stress
+(the gap e - phi and sigma = C (e - phi), tensors.stress) once; the energy
+split, the scheme residual, the energy identity and the stress maxima are
+the diagnostics functions called on those arrays. The identity also needs
+the Stress of the previous state: a Simulation remembers the Stress of the
+last state it produced and reuses it when that state is stepped, and
+computes it, by the same strain_field and stress calls, only for a state it
+did not produce (a custom driver's). States are treated as immutable.
 
 Each edge-connected group of triangles needs two Dirichlet nodes, or its
 rigid motions are not fixed and the plain system is singular; Simulation
@@ -47,7 +51,7 @@ from .fields import BoundaryData, build_dirichlet, strain_field, zero_tensor_fie
 from .mesh import (GAMMA0, Mesh, MeshGeometry, boundary_predicate, build_unit_square,
                    classify_boundary, edge_groups, load_mesh)
 from .solver import SolveReport, SolverError, factorize, solve_spd
-from .tensors import Material, StepParams, apply_C, validate_material
+from .tensors import Material, Stress, StepParams, stress, validate_material
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,7 @@ class Simulation:
         self.system_plain = stiffness.system(self.material)
         self.system_eff = stiffness.system(self.step_params.condensed)
         self._factor = None  # (system, its factor) of the last system solved
-        self._last = None    # (state, its strain) of the last state produced
+        self._last = None    # (state, its Stress) of the last state produced
 
     def _solve(self, system: SparseSPD, rhs, what: str) -> tuple[np.ndarray, SolveReport]:
         if self._factor is None or self._factor[0] is not system:
@@ -203,47 +207,52 @@ class Simulation:
         u[self.dirichlet.nodes] = self.dirichlet.values
         return u, rep
 
-    def _strain_of(self, state: SimulationState) -> np.ndarray:
-        """Strain of state.u, remembered when state is the last one produced."""
+    def _stress_of(self, state: SimulationState) -> Stress:
+        """Stress of state, remembered when state is the last one produced."""
         if self._last is not None and self._last[0] is state:
             return self._last[1]
-        return strain_field(self.geom, state.u)
+        return stress(self.step_params.C, strain_field(self.geom, state.u), state.phi)
 
     def initial_state(self, phi0: np.ndarray | None = None) -> tuple[SimulationState, StepReport]:
         """Equilibrium displacement for the initial tensor field (default 0)."""
         phi = zero_tensor_field(self.mesh) if phi0 is None else np.array(phi0, dtype=float)
         if phi.shape != (self.mesh.n_triangles, 3):
             raise ValueError(f"phi0 has shape {phi.shape}, expected {(self.mesh.n_triangles, 3)}")
-        m = self.material
+        bad = np.argwhere(~np.isfinite(phi))
+        if bad.size:
+            t, c = bad[0]
+            raise ValueError(f"phi0 is not finite at triangle {t}, component "
+                             f"{('xx', 'yy', 'xy')[c]}: {phi[t, c]}")
         u, rep = equilibrium_solve(self, phi)
-        e = strain_field(self.geom, u)
-        report = diagnostics.energy(self.geom, m, u, e, phi, self.load)
+        st = stress(self.step_params.C, strain_field(self.geom, u), phi)
+        report = diagnostics.energy(self.geom, self.material, u, phi, st, self.load)
         state = SimulationState(k=0, t=0.0, u=u, phi=phi, energy=report.total)
-        self._last = (state, e)
+        self._last = (state, st)
         return state, StepReport(rep.backward_error, rep.residual, 0.0, 0.0, report,
-                                 diagnostics.stress_components_linf(m, e, phi))
+                                 diagnostics.stress_components_linf(st.sigma))
 
     def step(self, state: SimulationState) -> tuple[SimulationState, StepReport]:
         m, sp = self.material, self.step_params
         k = state.k + 1
-        e_prev = self._strain_of(state)
-        rhs = tensor_load(self.geom, apply_C(sp.drag, state.phi)) + self.load
+        st_prev = self._stress_of(state)
+        rhs = tensor_load(self.geom, state.phi @ sp.drag) + self.load
         u, rep = self._solve(self.system_eff, rhs, f"displacement solve at step {k}")
 
         e = strain_field(self.geom, u)
-        phi = apply_C(sp.relax_inv, apply_C(m, e) + sp.d * state.phi)
+        phi = e @ sp.update_strain + state.phi @ sp.update_prev
+        st = stress(sp.C, e, phi)
 
-        report = diagnostics.energy(self.geom, m, u, e, phi, self.load)
+        report = diagnostics.energy(self.geom, m, u, phi, st, self.load)
         new = SimulationState(k=k, t=k * sp.tau, u=u, phi=phi, energy=report.total)
-        self._last = (new, e)
+        self._last = (new, st)
         return new, StepReport(
             backward_error=rep.backward_error,
             residual=rep.residual,
-            scheme_residual=diagnostics.scheme_residual(m, sp, e, phi, state.phi),
+            scheme_residual=diagnostics.scheme_residual(m, sp, phi, state.phi, st.sigma),
             identity_residual=diagnostics.energy_identity_residual(
-                self.geom, m, sp.tau, state, new, e_prev, e),
+                self.geom, m, sp.tau, state, new, st_prev, st),
             energy=report,
-            sigma_linf=diagnostics.stress_components_linf(m, e, phi),
+            sigma_linf=diagnostics.stress_components_linf(st.sigma),
         )
 
     def run(self, phi0: np.ndarray | None = None, sample_steps=()) -> RunResult:
@@ -317,7 +326,7 @@ def equilibrium_solve(sim: Simulation, phi) -> tuple[np.ndarray, SolveReport]:
     Solves the plain system of sim with the right-hand side (C phi, e[v]) +
     l(v). The initial state and the gradient-flow probes use it.
     """
-    rhs = tensor_load(sim.geom, apply_C(sim.material, phi)) + sim.load
+    rhs = tensor_load(sim.geom, np.asarray(phi, dtype=float) @ sim.step_params.C) + sim.load
     return sim._solve(sim.system_plain, rhs, "equilibrium solve")
 
 

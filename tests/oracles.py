@@ -1,10 +1,11 @@
 """Independent matrix-route oracles for the closed-form operator algebra.
 
-The package applies every fourth-order operator as a Lame pair.
+The package forms every fourth-order operator from a closed-form Lame pair.
 These helpers rebuild the same operators as explicit 3x3 matrices acting on
 the coordinate vector (xx, yy, xy) and invert them with generic linear
-algebra (sympy over exact rationals, numpy over floats). Agreement between
-the two routes is what the operator tests assert.
+algebra (sympy over exact rationals, numpy over floats), and apply_C
+evaluates an operator componentwise, without any matrix. Agreement between
+the routes is what the operator tests assert.
 
 Conventions match the package: tensor shear storage, so the contraction
 weight matrix is diag(1, 1, 2) and the elasticity operator maps the (xx,
@@ -22,8 +23,9 @@ import sympy as sp
 from scipy.spatial import Delaunay
 
 from viscofem.config import config_text
-from viscofem.fields import AffineMap, BoundaryData, DirichletSet
+from viscofem.fields import AffineMap, BoundaryData, DirichletSet, strain_field
 from viscofem.mesh import GAMMA1, Mesh
+from viscofem.tensors import stress
 
 DIM = 2
 
@@ -75,6 +77,35 @@ def drag_matrix(lam, mu, eta, alpha, tau):
     carries phi_prev into the condensed right-hand side."""
     rate = sp.sympify(eta) / sp.sympify(tau)
     return rate * elasticity_matrix(lam, mu) * step_inverse_matrix(lam, mu, eta, alpha, tau)
+
+
+def update_strain_matrix(lam, mu, eta, alpha, tau):
+    """3x3 coordinate matrix of X -> C R^-1 X, the operator that carries the
+    new strain into the updated tensor field."""
+    return elasticity_matrix(lam, mu) * step_inverse_matrix(lam, mu, eta, alpha, tau)
+
+
+def update_prev_matrix(lam, mu, eta, alpha, tau):
+    """3x3 coordinate matrix of X -> (eta/tau) R^-1 X, the operator that
+    carries phi_prev into the updated tensor field."""
+    rate = sp.sympify(eta) / sp.sympify(tau)
+    return rate * step_inverse_matrix(lam, mu, eta, alpha, tau)
+
+
+def apply_C(pair, X) -> np.ndarray:
+    """The isotropic operator of a Lame pair, componentwise:
+    lam*tr(X)*I + 2*mu*X on (..., 3) arrays."""
+    X = np.asarray(X, dtype=float)
+    out = 2.0 * pair.mu * X
+    t = pair.lam * (X[..., 0] + X[..., 1])
+    out[..., 0] += t
+    out[..., 1] += t
+    return out
+
+
+def stress_of(geom, m, u, phi):
+    """The Stress of the state (u, phi) of material m, formed from scratch."""
+    return stress(m, strain_field(geom, u), phi)
 
 
 def to_float(matrix) -> np.ndarray:

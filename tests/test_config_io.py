@@ -15,14 +15,12 @@ from viscofem.config import (
     preset_config,
 )
 from viscofem.cli import main
-from viscofem.fields import strain_field
 from viscofem.mesh import MAX_DIVISIONS, MeshGeometry
 from viscofem import outputs
 from viscofem.outputs import write_outputs
 from viscofem.stepper import Simulation, run
-from viscofem.tensors import stress
 
-from oracles import write_config
+from oracles import stress_of, write_config
 from test_stepper import BOW_TIE_MESH, PULL, TWO_SQUARES_MESH, make_config
 
 BASE_LINES = [
@@ -260,7 +258,7 @@ class TestOutputFiles:
         geom = MeshGeometry(mesh)
         for state in small_result.snapshots:
             lines = (tmp_path / f"state_{state.k:06d}.vtk").read_text().splitlines()
-            sigma = stress(small_result.config.material, strain_field(geom, state.u), state.phi)
+            sigma = stress_of(geom, small_result.config.material, state.u, state.phi).sigma
             assert lines[5:5 + n] == ["%.12e %.12e 0.0" % (x, y) for x, y in mesh.nodes]
             assert lines[6 + n:6 + n + m] == ["3 %d %d %d" % tuple(tri) for tri in mesh.triangles]
             at = 9 + n + 2 * m

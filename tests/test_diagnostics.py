@@ -20,12 +20,13 @@ from viscofem.diagnostics import (
     verify_result,
 )
 from viscofem.assembly import load_vector
-from viscofem.fields import AffineMap, BoundaryData, strain_field, zero_tensor_field
+from viscofem.config import preset_config
+from viscofem.fields import AffineMap, BoundaryData, zero_tensor_field
 from viscofem.mesh import MeshGeometry, boundary_predicate, build_unit_square, classify_boundary
 from viscofem.stepper import MeshSpec, Simulation, SimulationState, StepParams
 from viscofem.tensors import Material
 
-from oracles import delaunay_mesh, interpolate, save_mesh, zero_displacement
+from oracles import delaunay_mesh, interpolate, save_mesh, stress_of, zero_displacement
 from test_assembly import left_arc
 from test_stepper import PULL, make_config
 
@@ -43,7 +44,8 @@ class TestEnergyValues:
         # e = diag(1, 0), C e = diag(3, 1): E = 0.5 * e:Ce * |Omega| = 3/2
         mesh, geom = unit_square_geometry()
         u = interpolate(mesh, PULL)
-        report = energy(geom, UNIT, u, strain_field(geom, u), zero_tensor_field(mesh),
+        phi = zero_tensor_field(mesh)
+        report = energy(geom, UNIT, u, phi, stress_of(geom, UNIT, u, phi),
                         load_vector(geom, NO_LOAD))
         assert report.elastic == pytest.approx(1.5, abs=1e-13)
         assert report.relax == 0.0
@@ -57,7 +59,7 @@ class TestEnergyValues:
         m = replace(UNIT, alpha=2.0)
         phi = np.tile([1.0, 0.0, 0.0], (mesh.n_triangles, 1))
         u = zero_displacement(mesh)
-        report = energy(geom, m, u, strain_field(geom, u), phi, load_vector(geom, NO_LOAD))
+        report = energy(geom, m, u, phi, stress_of(geom, m, u, phi), load_vector(geom, NO_LOAD))
         assert report.elastic == pytest.approx(1.5, abs=1e-13)
         assert report.relax == pytest.approx(1.0, abs=1e-13)
         assert report.total == pytest.approx(2.5, abs=1e-13)
@@ -84,8 +86,9 @@ class TestEnergyValues:
         sim = Simulation(cfg)
         result = sim.run()
         for state in result.snapshots:
-            fresh = energy(sim.geom, sim.material, state.u, strain_field(sim.geom, state.u),
-                           state.phi, load_vector(sim.geom, cfg.bc))
+            fresh = energy(sim.geom, sim.material, state.u, state.phi,
+                           stress_of(sim.geom, sim.material, state.u, state.phi),
+                           load_vector(sim.geom, cfg.bc))
             assert result.energy[state.k] == pytest.approx(fresh.total, abs=1e-14)
 
 
@@ -104,16 +107,18 @@ class TestEnergyIdentity:
     def test_residual_vanishes_on_real_steps(self):
         sim, states = self.consecutive_states()
         for prev, curr in zip(states, states[1:]):
-            e_prev, e = strain_field(sim.geom, prev.u), strain_field(sim.geom, curr.u)
-            r = energy_identity_residual(sim.geom, sim.material, 0.01, prev, curr, e_prev, e)
+            st_prev = stress_of(sim.geom, sim.material, prev.u, prev.phi)
+            st = stress_of(sim.geom, sim.material, curr.u, curr.phi)
+            r = energy_identity_residual(sim.geom, sim.material, 0.01, prev, curr, st_prev, st)
             assert r <= 1e-10
 
     def test_terms_have_the_right_signs(self):
         sim, states = self.consecutive_states(alpha=2.0)
         for prev, curr in zip(states, states[1:]):
             dE, visc, relax_extra, elastic_extra = energy_identity_terms(
-                sim.geom, sim.material, 0.01, prev, curr, strain_field(sim.geom, prev.u),
-                strain_field(sim.geom, curr.u))
+                sim.geom, sim.material, 0.01, prev, curr,
+                stress_of(sim.geom, sim.material, prev.u, prev.phi),
+                stress_of(sim.geom, sim.material, curr.u, curr.phi))
             assert visc >= 0.0
             assert relax_extra >= 0.0
             assert elastic_extra >= 0.0
@@ -125,17 +130,18 @@ class TestEnergyIdentity:
         prev, curr = states[2], states[3]
         tampered = SimulationState(k=curr.k, t=curr.t, u=curr.u,
                                    phi=curr.phi + 1e-3, energy=curr.energy)
-        e_prev, e = strain_field(sim.geom, prev.u), strain_field(sim.geom, tampered.u)
+        st_prev = stress_of(sim.geom, sim.material, prev.u, prev.phi)
+        st = stress_of(sim.geom, sim.material, tampered.u, tampered.phi)
         assert energy_identity_residual(
-            sim.geom, sim.material, 0.01, prev, tampered, e_prev, e) > 1e-6
+            sim.geom, sim.material, 0.01, prev, tampered, st_prev, st) > 1e-6
 
     def test_zero_data_identity_is_exact(self):
         sim, _ = self.consecutive_states()
         zero = SimulationState(k=0, t=0.0, u=zero_displacement(sim.mesh),
                                phi=zero_tensor_field(sim.mesh), energy=0.0)
         also_zero = SimulationState(k=1, t=0.01, u=zero.u, phi=zero.phi, energy=0.0)
-        e = strain_field(sim.geom, also_zero.u)
-        assert energy_identity_residual(sim.geom, sim.material, 0.01, zero, also_zero, e, e) == 0.0
+        st = stress_of(sim.geom, sim.material, zero.u, zero.phi)
+        assert energy_identity_residual(sim.geom, sim.material, 0.01, zero, also_zero, st, st) == 0.0
 
 
 class TestSchemeResidual:
@@ -147,8 +153,8 @@ class TestSchemeResidual:
         for _ in range(cfg.n_steps):
             prev_phi = state.phi
             state, _ = sim.step(state)
-            e = strain_field(sim.geom, state.u)
-            assert scheme_residual(sim.material, step, e, state.phi, prev_phi) <= 1e-13
+            sigma = stress_of(sim.geom, sim.material, state.u, state.phi).sigma
+            assert scheme_residual(sim.material, step, state.phi, prev_phi, sigma) <= 1e-13
 
     def test_detects_a_corrupted_update(self):
         cfg = make_config(n=4, gamma0="sides", g=PULL, t_end=0.02)
@@ -157,15 +163,15 @@ class TestSchemeResidual:
         state, _ = sim.initial_state()
         prev_phi = state.phi
         state, _ = sim.step(state)
-        e = strain_field(sim.geom, state.u)
-        assert scheme_residual(sim.material, step, e, state.phi + 1e-3, prev_phi) > 1e-2
+        sigma = stress_of(sim.geom, sim.material, state.u, state.phi + 1e-3).sigma
+        assert scheme_residual(sim.material, step, state.phi + 1e-3, prev_phi, sigma) > 1e-2
 
 
 class TestStressNorms:
     def test_uniaxial_values(self):
         mesh, geom = unit_square_geometry()
-        e = strain_field(geom, interpolate(mesh, PULL))
-        linf = stress_components_linf(UNIT, e, zero_tensor_field(mesh))
+        u = interpolate(mesh, PULL)
+        linf = stress_components_linf(stress_of(geom, UNIT, u, zero_tensor_field(mesh)).sigma)
         assert linf[0] == pytest.approx(3.0, abs=1e-12)
         assert linf[1] == pytest.approx(1.0, abs=1e-12)
         assert linf[2] == pytest.approx(0.0, abs=1e-12)
@@ -174,15 +180,16 @@ class TestStressNorms:
         # an overshooting tensor field flips the stress sign; the norm
         # must report magnitudes
         mesh, geom = unit_square_geometry()
-        e = strain_field(geom, interpolate(mesh, PULL))
+        u = interpolate(mesh, PULL)
         phi = np.tile([2.0, 0.0, 0.0], (mesh.n_triangles, 1))
-        assert_allclose(stress_components_linf(UNIT, e, phi), [3.0, 1.0, 0.0], atol=1e-12)
+        assert_allclose(stress_components_linf(stress_of(geom, UNIT, u, phi).sigma),
+                        [3.0, 1.0, 0.0], atol=1e-12)
 
     def test_matching_tensor_field_gives_zero(self):
         mesh, geom = unit_square_geometry()
-        e = strain_field(geom, interpolate(mesh, PULL))
+        u = interpolate(mesh, PULL)
         phi = np.tile([1.0, 0.0, 0.0], (mesh.n_triangles, 1))
-        assert stress_components_linf(UNIT, e, phi).max() <= 1e-12
+        assert stress_components_linf(stress_of(geom, UNIT, u, phi).sigma).max() <= 1e-12
 
 
 class TestGradientFlowProbe:
@@ -218,6 +225,35 @@ class TestGradientFlowProbe:
         phi = state.phi + 0.05
         check = gradient_flow_check(sim, phi, prev_phi, reduced_gradient(sim, phi), psi)
         assert max(check.flow_error, check.derivative_error) > 1e-3
+
+
+class TestReportsMatchStandaloneChecks:
+    """Every field of a StepReport equals the diagnostics function evaluated
+    afresh from the two states and their strains."""
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_consecutive_steps_of_each_preset(self, name):
+        cfg = preset_config(name, alpha=1.0)
+        cfg = replace(cfg, mesh=replace(cfg.mesh, n=6), t_end=5 * cfg.tau)
+        sim = Simulation(cfg)
+        m, load = sim.material, load_vector(sim.geom, cfg.bc)
+        prev, rep = sim.initial_state()
+        st_prev = stress_of(sim.geom, m, prev.u, prev.phi)
+        assert_allclose(rep.sigma_linf, stress_components_linf(st_prev.sigma), rtol=1e-13, atol=0)
+        for _ in range(cfg.n_steps):
+            curr, rep = sim.step(prev)
+            st = stress_of(sim.geom, m, curr.u, curr.phi)
+            fresh = energy(sim.geom, m, curr.u, curr.phi, st, load)
+            for piece in ("total", "elastic", "relax", "work"):
+                assert getattr(rep.energy, piece) == pytest.approx(getattr(fresh, piece),
+                                                                   rel=1e-13, abs=0)
+            assert rep.scheme_residual == pytest.approx(
+                scheme_residual(m, sim.step_params, curr.phi, prev.phi, st.sigma), rel=1e-13, abs=0)
+            assert rep.identity_residual == pytest.approx(
+                energy_identity_residual(sim.geom, m, cfg.tau, prev, curr, st_prev, st),
+                rel=1e-13, abs=0)
+            assert_allclose(rep.sigma_linf, stress_components_linf(st.sigma), rtol=1e-13, atol=0)
+            prev, st_prev = curr, st
 
 
 class TestVerifyResult:
@@ -260,6 +296,22 @@ class TestVerifyResult:
         assert not report.monotone_ok
         assert not report.ok
         assert any("rises" in msg for msg in report.messages)
+
+    @pytest.mark.parametrize("name", ["update_strain", "update_prev"])
+    def test_perturbed_update_matrix_is_flagged(self, monkeypatch, name):
+        # the scheme residual is measured from the stored fields, not derived
+        # from the update algebra: a wrong update matrix shows in it
+        cfg = make_config(n=4, gamma0="sides", g=PULL, alpha=1.0, t_end=0.05)
+        sim = Simulation(cfg)
+        params = sim.step_params
+        monkeypatch.setattr(sim, "step_params",
+                            replace(params, **{name: getattr(params, name) * (1.0 + 1e-6)}))
+        phi0 = 0.1 * np.random.default_rng(4).standard_normal((sim.mesh.n_triangles, 3))
+        result = sim.run(phi0=phi0, sample_steps=(1, 5))
+        assert result.scheme_residual[1:].min() > 1e-12
+        report = verify_result(result, directions=1)
+        assert not report.scheme_ok
+        assert not report.ok
 
     def test_tampered_residual_series_is_flagged(self):
         result = self.clean_result()

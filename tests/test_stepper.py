@@ -22,9 +22,9 @@ from viscofem.stepper import (
     equilibrium_solve,
     run,
 )
-from viscofem.tensors import Material
+from viscofem.tensors import Material, stress
 
-from oracles import interpolate, monolithic_step, save_mesh
+from oracles import interpolate, monolithic_step, save_mesh, stress_of
 
 PULL = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
 
@@ -151,9 +151,8 @@ class TestHomogeneousRecursion:
             assert_allclose(state.u, exact_u, atol=1e-12)
             assert_allclose(state.phi, np.tile(history[k], (2, 1)), atol=1e-12)
             sigma = Cm @ (e - history[k])
-            assert_allclose(
-                stress_components_linf(sim.material, strain_field(sim.geom, state.u), state.phi),
-                np.abs(sigma), atol=1e-12)
+            sigma_linf = stress_components_linf(stress_of(sim.geom, sim.material, state.u, state.phi).sigma)
+            assert_allclose(sigma_linf, np.abs(sigma), atol=1e-12)
             if k < steps:
                 state, _ = sim.step(state)
 
@@ -179,8 +178,8 @@ class TestFixedPoints:
         assert_allclose(state.phi, np.tile(phi_star, (2, 1)), atol=1e-10)
         geom = MeshGeometry(classify_boundary(build_unit_square(1), boundary_predicate("all")))
         m = Material(lam=1.0, mu=1.0, eta=1.0, alpha=alpha)
-        assert_allclose(stress_components_linf(m, strain_field(geom, state.u), state.phi),
-                        np.abs(sigma_star), atol=1e-10)
+        sigma_linf = stress_components_linf(stress_of(geom, m, state.u, state.phi).sigma)
+        assert_allclose(sigma_linf, np.abs(sigma_star), atol=1e-10)
 
     def test_alpha_zero_relaxes_completely(self):
         state = self.final_state(0.0)
@@ -188,7 +187,7 @@ class TestFixedPoints:
         assert_allclose(state.phi, np.tile([1.0, 0.0, 0.0], (2, 1)), atol=1e-10)
         geom = MeshGeometry(classify_boundary(build_unit_square(1), boundary_predicate("all")))
         m = Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0)
-        assert stress_components_linf(m, strain_field(geom, state.u), state.phi).max() <= 1e-10
+        assert stress_components_linf(stress_of(geom, m, state.u, state.phi).sigma).max() <= 1e-10
 
 
 class TestMonolithicOracle:
@@ -313,6 +312,16 @@ class TestRunBookkeeping:
         with pytest.raises(ValueError, match="shape"):
             sim.initial_state(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_initial_field_rejected(self, bad):
+        _, sim = self.small_run()
+        phi0 = np.zeros((sim.mesh.n_triangles, 3))
+        phi0[5, 2] = bad
+        phi0[7, 0] = bad
+        with pytest.raises(ValueError, match=r"phi0 is not finite at triangle 5, component xy"):
+            sim.initial_state(phi0)
+        assert sim._factor is None  # rejected before any solve
+
 
 class TestValidation:
     def test_supplied_mesh_needs_dirichlet_edges(self):
@@ -410,6 +419,21 @@ class TestStrainOnce:
         Simulation(cfg).run()
         assert len(calls) == cfg.n_steps + 1  # one per step, one for the initial state
 
+    def test_one_stress_per_state(self, monkeypatch):
+        from viscofem import diagnostics, stepper
+
+        calls = []
+
+        def counted(C, e, phi):
+            calls.append(1)
+            return stress(C, e, phi)
+
+        monkeypatch.setattr(stepper, "stress", counted)
+        monkeypatch.setattr(diagnostics, "stress", counted)
+        cfg = make_config(n=3, gamma0="sides", g=PULL, t_end=0.05)
+        Simulation(cfg).run()
+        assert len(calls) == cfg.n_steps + 1  # one per step, one for the initial state
+
     def test_state_from_elsewhere_gives_the_same_report(self):
         cfg = make_config(n=4, gamma0="sides", g=PULL, t_end=0.02)
         sim = Simulation(cfg)
@@ -451,4 +475,4 @@ class TestEquilibriumPatch:
         phi = np.tile([2.0, -1.0, 0.5], (sim.mesh.n_triangles, 1))
         u, _ = equilibrium_solve(sim, phi)
         assert_allclose(u, interpolate(sim.mesh, g), atol=1e-10)
-        assert stress_components_linf(sim.material, strain_field(sim.geom, u), phi).max() <= 1e-10
+        assert stress_components_linf(stress_of(sim.geom, sim.material, u, phi).sigma).max() <= 1e-10

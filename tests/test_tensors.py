@@ -3,8 +3,12 @@
 Verified here:
   * hand-checked values for the elasticity, step-inverse and condensed
     operators at lam = mu = eta = 1, and the Lame pairs behind them
-  * agreement between the step pairs (step inverse, condensed, drag) and
-    independent 3x3 matrix oracles inverted exactly over the rationals
+  * agreement between the step matrices (condensed, drag, the two update
+    matrices and the step inverse read off them) and independent 3x3 matrix
+    oracles inverted exactly over the rationals, also for random admissible
+    materials drawn by hypothesis
+  * every matrix applies as the componentwise closed form lam*tr(X)*I +
+    2*mu*X and is self-adjoint for the contraction
   * algebraic properties: linearity, inverse consistency, contraction
     symmetry, positivity with the sharp Rayleigh bound
   * material and step-parameter validation
@@ -16,20 +20,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 import sympy as sp
-from numpy.testing import assert_allclose
+from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from viscofem.tensors import (
     DDOT_WEIGHTS,
-    DIM,
+    Lame,
     Material,
     StepParams,
-    apply_C,
-    ddot,
+    isotropic,
     stress,
     validate_material,
 )
 
 from oracles import (
+    apply_C,
     apply_matrix,
     as_matrix,
     drag_matrix,
@@ -37,10 +42,31 @@ from oracles import (
     elasticity_matrix,
     step_inverse_matrix,
     to_float,
+    update_prev_matrix,
+    update_strain_matrix,
 )
 
 UNIT = Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0)
 IDENTITY = np.array([1.0, 1.0, 0.0])
+
+# the matrices a StepParams holds, by name; the condensed one as isotropic(pair)
+STEP_MATRICES = {
+    "C": lambda s: s.C,
+    "condensed": lambda s: isotropic(s.condensed),
+    "drag": lambda s: s.drag,
+    "update_strain": lambda s: s.update_strain,
+    "update_prev": lambda s: s.update_prev,
+}
+
+
+def ddot(X, Y):
+    """Double contraction X : Y with the package's contraction weights."""
+    return (np.asarray(X) * np.asarray(Y)) @ DDOT_WEIGHTS
+
+
+def step_inverse(s):
+    """R^-1, read off the update matrix d * R^-1."""
+    return s.update_prev / s.d
 
 
 def random_tensors(rng, n):
@@ -56,7 +82,7 @@ def random_material(rng):
 def apply_step(m, s, X):
     """The step operator R X = (eta/tau + alpha) X + C X, which the package
     never applies: it only needs R^-1."""
-    return (s.d + m.alpha) * X + apply_C(m, X)
+    return (s.d + m.alpha) * X + X @ s.C
 
 
 def rational_draws(seed, count=100):
@@ -76,14 +102,14 @@ def rational_draws(seed, count=100):
         yield (lam, mu, eta, alpha, eta / rate), rng.standard_normal(3)
 
 
-def assert_matches_oracle(pair_of, oracle, seed):
-    """apply_C(pair_of(step), X) against oracle(...) inverted exactly."""
+def assert_matches_oracle(matrix_of, oracle, seed):
+    """X @ matrix_of(step) against oracle(...) inverted exactly."""
     for params, X in rational_draws(seed):
         lam, mu, eta, alpha, tau = (float(p) for p in params)
         s = StepParams.from_material(Material(lam=lam, mu=mu, eta=eta, alpha=alpha), tau=tau)
         ref = apply_matrix(oracle(*(sp.Rational(p) for p in params)), X)
         atol = 1e-12 * min(1.0, np.abs(ref).max())
-        assert_allclose(apply_C(pair_of(s), X), ref, rtol=1e-12, atol=atol)
+        assert_allclose(X @ matrix_of(s), ref, rtol=1e-12, atol=atol)
 
 
 # ---------------------------------------------------------------------------
@@ -93,26 +119,28 @@ def assert_matches_oracle(pair_of, oracle, seed):
 
 class TestPinnedValues:
     def test_elasticity_uniaxial(self):
-        out = apply_C(UNIT, np.array([1.0, 0.0, 0.0]))
+        out = np.array([1.0, 0.0, 0.0]) @ isotropic(UNIT)
         assert_allclose(out, [3.0, 1.0, 0.0], rtol=0, atol=0)
+        assert_array_equal(StepParams.from_material(UNIT, tau=1.0).C, isotropic(UNIT))
 
     def test_step_inverse_identity(self):
         # lam = mu = eta = 1, tau = 1, alpha = 0: R has eigenvalues 3 (shear)
         # and 5 (trace), so R^-1 is the pair (1/5 - 1/3) / 2, 1/6
         s = StepParams.from_material(UNIT, tau=1.0)
-        assert s.relax_inv == pytest.approx((-1.0 / 15.0, 1.0 / 6.0), rel=1e-15)
-        assert_allclose(apply_C(s.relax_inv, IDENTITY), IDENTITY / 5.0, rtol=1e-15)
+        assert s.d == 1.0
+        assert_allclose(step_inverse(s), isotropic(Lame(-1.0 / 15.0, 1.0 / 6.0)), rtol=1e-15)
+        assert_allclose(IDENTITY @ step_inverse(s), IDENTITY / 5.0, rtol=1e-15)
 
     def test_step_inverse_shear(self):
         s = StepParams.from_material(UNIT, tau=1.0)
         shear = np.array([0.0, 0.0, 1.0])
-        assert_allclose(apply_C(s.relax_inv, shear), shear / 3.0, rtol=1e-15)
+        assert_allclose(shear @ step_inverse(s), shear / 3.0, rtol=1e-15)
 
     def test_step_inverse_matches_matrix_oracle(self):
         s = StepParams.from_material(UNIT, tau=1.0)
         Rinv = step_inverse_matrix(1, 1, 1, 0, 1)
         for x in (IDENTITY, np.array([0.0, 0.0, 1.0]), np.array([2.0, -1.0, 0.5])):
-            assert_allclose(apply_C(s.relax_inv, x), apply_matrix(Rinv, x), rtol=1e-14)
+            assert_allclose(x @ step_inverse(s), apply_matrix(Rinv, x), rtol=1e-14)
 
     def test_effective_uniaxial(self):
         # hand elimination at lam = mu = eta = tau = 1, alpha = 0:
@@ -121,19 +149,29 @@ class TestPinnedValues:
         # which is the pair (1/15, 1/3); with alpha = 0 the drag is the same
         s = StepParams.from_material(UNIT, tau=1.0)
         assert s.condensed == pytest.approx((1.0 / 15.0, 1.0 / 3.0), rel=1e-15)
-        assert s.drag == pytest.approx((1.0 / 15.0, 1.0 / 3.0), rel=1e-15)
-        out = apply_C(s.condensed, np.array([1.0, 0.0, 0.0]))
+        assert_allclose(s.drag, isotropic(Lame(1.0 / 15.0, 1.0 / 3.0)), rtol=1e-15)
+        out = np.array([1.0, 0.0, 0.0]) @ isotropic(s.condensed)
         assert_allclose(out, [11.0 / 15.0, 1.0 / 15.0, 0.0], rtol=1e-14)
+        # the update: phi = e C R^-1 + phi_prev d R^-1, so from phi_prev = 0
+        # it is R^-1 C e
+        assert_allclose(np.array([1.0, 0.0, 0.0]) @ s.update_strain,
+                        [11.0 / 15.0, 1.0 / 15.0, 0.0], rtol=1e-14)
 
     def test_stress_is_elasticity_of_difference(self):
+        C = isotropic(UNIT)
         e = np.array([1.0, 0.0, 0.0])
-        assert_allclose(stress(UNIT, e, np.zeros(3)), [3.0, 1.0, 0.0], rtol=0)
+        st = stress(C, e, np.zeros(3))
+        assert_allclose(st.sigma, [3.0, 1.0, 0.0], rtol=0)
+        assert_array_equal(st.gap, e)
         # at phi = e the stress vanishes identically
-        assert_allclose(stress(UNIT, e, e), np.zeros(3), atol=0)
+        assert_allclose(stress(C, e, e).sigma, np.zeros(3), atol=0)
+        # the Material itself stands for its matrix
+        X = np.random.default_rng(4).standard_normal((5, 3))
+        assert_array_equal(stress(UNIT, X, 0.5 * X).sigma, stress(C, X, 0.5 * X).sigma)
 
     def test_c_inner_uniaxial(self):
         e = np.array([1.0, 0.0, 0.0])
-        assert ddot(apply_C(UNIT, e), e) == pytest.approx(3.0, abs=0)
+        assert ddot(e @ isotropic(UNIT), e) == pytest.approx(3.0, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +186,23 @@ class TestMatrixOracle:
             m = random_material(rng)
             M = elasticity_matrix(m.lam, m.mu)
             X = rng.standard_normal(3)
-            assert_allclose(apply_C(m, X), apply_matrix(M, X), rtol=1e-13, atol=1e-13)
+            assert_allclose(X @ isotropic(m), apply_matrix(M, X), rtol=1e-13, atol=1e-13)
+            assert_allclose(X @ isotropic(m), apply_C(m, X), rtol=1e-13, atol=1e-13)
 
     def test_effective_matches_exact_rational_matrix(self):
         # 100 random rational parameter sets, condensed operator C (I - R^-1 C)
         # formed and inverted exactly by sympy, against the condensed pair
-        assert_matches_oracle(lambda s: s.condensed, effective_matrix, seed=11)
+        assert_matches_oracle(lambda s: isotropic(s.condensed), effective_matrix, seed=11)
 
     def test_step_inverse_matches_exact_rational_matrix(self):
-        assert_matches_oracle(lambda s: s.relax_inv, step_inverse_matrix, seed=12)
+        assert_matches_oracle(step_inverse, step_inverse_matrix, seed=12)
 
     def test_drag_matches_exact_rational_matrix(self):
         assert_matches_oracle(lambda s: s.drag, drag_matrix, seed=13)
+
+    def test_update_matches_exact_rational_matrix(self):
+        assert_matches_oracle(lambda s: s.update_strain, update_strain_matrix, seed=14)
+        assert_matches_oracle(lambda s: s.update_prev, update_prev_matrix, seed=15)
 
     def test_effective_matrix_is_symmetric_in_weighted_inner_product(self):
         # self-adjointness w.r.t. ddot: diag(w) @ M must be a symmetric matrix
@@ -170,6 +213,66 @@ class TestMatrixOracle:
             M = to_float(effective_matrix(m.lam, m.mu, m.eta, m.alpha, s.tau))
             W = np.diag(DDOT_WEIGHTS)
             assert_allclose(W @ M, (W @ M).T, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# random admissible materials (hypothesis)
+# ---------------------------------------------------------------------------
+
+
+def admissible(draw_alpha):
+    """Materials with mu in [0.1, 10] and lam = mu * (shift - 1), shift in
+    [1e-6, 5]: lam reaches down to within 1e-6 mu of the floor -mu."""
+    return st.builds(
+        lambda mu, shift, eta, alpha: Material(lam=mu * (shift - 1.0), mu=mu, eta=eta, alpha=alpha),
+        st.floats(0.1, 10.0), st.floats(1e-6, 5.0), st.floats(0.1, 10.0), draw_alpha)
+
+
+MATERIALS = admissible(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+TAUS = st.floats(1e-4, 10.0)
+EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestRandomAdmissible:
+    @EXAMPLES
+    @given(m=MATERIALS, tau=TAUS, l=st.floats(-10.0, 10.0), mu=st.floats(-10.0, 10.0))
+    def test_matrices_apply_as_closed_form(self, m, tau, l, mu):
+        X = np.random.default_rng(0).standard_normal((8, 3))
+        # any Lame pair, and the elasticity of the material
+        for pair in (Lame(l, mu), m):
+            assert_allclose(X @ isotropic(pair), apply_C(pair, X), rtol=1e-14, atol=1e-14 * (
+                abs(pair.lam) + abs(pair.mu)))
+        # every step matrix is the matrix of the Lame pair on its entries
+        s = StepParams.from_material(m, tau)
+        for name, matrix_of in STEP_MATRICES.items():
+            M = matrix_of(s)
+            pair = Lame(M[0, 1], M[2, 2] / 2.0)
+            assert_allclose(X @ M, apply_C(pair, X), rtol=1e-13, atol=1e-13 * np.abs(M).max(),
+                            err_msg=name)
+            assert_array_equal(M, isotropic(pair), err_msg=name)
+
+    @EXAMPLES
+    @given(m=MATERIALS, tau=TAUS)
+    def test_matrices_are_self_adjoint(self, m, tau):
+        W = np.diag(DDOT_WEIGHTS)
+        s = StepParams.from_material(m, tau)
+        for name, matrix_of in STEP_MATRICES.items():
+            WM = W @ matrix_of(s)
+            assert_array_equal(WM, WM.T, err_msg=name)
+
+    @EXAMPLES
+    @given(m=admissible(st.just(0.0)), tau=TAUS)
+    def test_update_matrices_match_exact_rational_oracle(self, m, tau):
+        # alpha = 0 and lam near -mu: the trace eigenvalue 2 (lam + mu) of C
+        # is small against the shear one
+        s = StepParams.from_material(m, tau)
+        exact = [sp.Rational(v) for v in (m.lam, m.mu, m.eta, m.alpha, tau)]
+        for got, oracle in ((s.update_strain, update_strain_matrix),
+                            (s.update_prev, update_prev_matrix),
+                            (s.drag, drag_matrix)):
+            ref = to_float(oracle(*exact))
+            assert_allclose(got, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max(),
+                            err_msg=oracle.__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +287,13 @@ class TestProperties:
         for _ in range(10):
             m = random_material(rng)
             s = StepParams.from_material(m, tau=rng.uniform(1e-3, 2.0))
-            back = apply_step(m, s, apply_C(s.relax_inv, X))
+            back = apply_step(m, s, X @ step_inverse(s))
             assert_allclose(back, X, rtol=1e-14, atol=1e-14)
-            forth = apply_C(s.relax_inv, apply_step(m, s, X))
+            forth = apply_step(m, s, X) @ step_inverse(s)
             assert_allclose(forth, X, rtol=1e-14, atol=1e-14)
+            # C and R^-1 commute, and C R^-1 is the strain update matrix
+            assert_allclose(X @ s.C @ step_inverse(s), X @ s.update_strain, rtol=1e-13, atol=1e-13)
+            assert_allclose(X @ step_inverse(s) @ s.C, X @ s.update_strain, rtol=1e-13, atol=1e-13)
 
     def test_operators_are_linear(self):
         rng = np.random.default_rng(1)
@@ -195,13 +301,9 @@ class TestProperties:
         s = StepParams.from_material(m, tau=0.25)
         X, Y = random_tensors(rng, 1000), random_tensors(rng, 1000)
         a, b = -1.7, 0.3
-        for op in (
-            lambda Z: apply_C(m, Z),
-            lambda Z: apply_C(s.relax_inv, Z),
-            lambda Z: apply_C(s.condensed, Z),
-            lambda Z: apply_C(s.drag, Z),
-        ):
-            assert_allclose(op(a * X + b * Y), a * op(X) + b * op(Y), rtol=1e-13, atol=1e-13)
+        for matrix_of in STEP_MATRICES.values():
+            M = matrix_of(s)
+            assert_allclose((a * X + b * Y) @ M, a * (X @ M) + b * (Y @ M), rtol=1e-13, atol=1e-13)
 
     def test_ddot_symmetric_and_matches_matrix_trace(self):
         rng = np.random.default_rng(2)
@@ -218,9 +320,10 @@ class TestProperties:
     def test_c_inner_symmetric_positive(self):
         rng = np.random.default_rng(5)
         m = random_material(rng)
+        C = isotropic(m)
         X, Y = random_tensors(rng, 500), random_tensors(rng, 500)
-        assert_allclose(ddot(apply_C(m, X), Y), ddot(apply_C(m, Y), X), rtol=1e-13, atol=1e-13)
-        assert np.all(ddot(apply_C(m, X), X) > 0.0)
+        assert_allclose(ddot(X @ C, Y), ddot(Y @ C, X), rtol=1e-13, atol=1e-13)
+        assert np.all(ddot(X @ C, X) > 0.0)
 
     def test_elasticity_rayleigh_bound_is_sharp(self):
         # smallest generalized eigenvalue of (W C, W) equals min(2mu, 2mu + 2lam)
@@ -228,7 +331,7 @@ class TestProperties:
         W = np.diag(DDOT_WEIGHTS)
         for _ in range(50):
             m = random_material(rng)
-            K = W @ to_float(elasticity_matrix(m.lam, m.mu))
+            K = W @ isotropic(m)
             eigs = scipy.linalg.eigh(K, W, eigvals_only=True)
             expected = min(2.0 * m.mu, 2.0 * m.mu + 2.0 * m.lam)
             assert eigs.min() >= expected - 1e-10 * max(1.0, abs(expected))
@@ -240,17 +343,24 @@ class TestProperties:
             m = random_material(rng)
             s = StepParams.from_material(m, tau=rng.uniform(1e-3, 1.0))
             X = random_tensors(rng, 200)
-            assert np.all(ddot(apply_C(s.condensed, X), X) > 0.0)
+            assert np.all(ddot(X @ isotropic(s.condensed), X) > 0.0)
 
     def test_field_shapes_pass_through(self):
-        # a (n, 3) per-element field takes the same code path as one tensor
+        # a (n, 3) per-element field and one tensor give bitwise the same
+        # result under every step matrix and the stress
         rng = np.random.default_rng(9)
         m = random_material(rng)
         s = StepParams.from_material(m, tau=0.1)
         X = random_tensors(rng, 17)
-        stacked = apply_C(s.condensed, X)
-        rowwise = np.array([apply_C(s.condensed, x) for x in X])
-        assert_allclose(stacked, rowwise, rtol=0, atol=0)
+        for name, matrix_of in STEP_MATRICES.items():
+            M = matrix_of(s)
+            stacked = X @ M
+            rowwise = np.array([x @ M for x in X])
+            assert_allclose(stacked, rowwise, rtol=0, atol=0, err_msg=name)
+        stacked = stress(s.C, X, 0.5 * X)
+        rowwise = [stress(s.C, x, 0.5 * x) for x in X]
+        assert_allclose(stacked.sigma, [st.sigma for st in rowwise], rtol=0, atol=0)
+        assert_allclose(stacked.gap, [st.gap for st in rowwise], rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +397,8 @@ class TestTypes:
         for _ in range(100):
             m = random_material(rng)
             s = StepParams.from_material(m, tau=rng.uniform(1e-4, 10.0))
-            # a pair is positive definite when both eigenvalues are positive
-            for pair in (s.relax_inv, s.condensed, s.drag):
-                assert pair.mu > 0.0 and DIM * pair.lam + 2.0 * pair.mu > 0.0
+            # an isotropic matrix is positive definite when both eigenvalues
+            # are: 2*mu = M[2, 2] (shear) and DIM*lam + 2*mu = M[0, 0] + M[0, 1]
+            for matrix_of in STEP_MATRICES.values():
+                M = matrix_of(s)
+                assert M[2, 2] > 0.0 and M[0, 0] + M[0, 1] > 0.0
