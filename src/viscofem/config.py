@@ -76,8 +76,11 @@ def config_text(cfg: RunConfig) -> str:
 
 
 def parse_config(path) -> RunConfig:
-    with open(path) as f:
-        raw = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            raw = f.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return parse_config_text(raw, origin=str(path))
 
 

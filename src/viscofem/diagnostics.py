@@ -53,6 +53,14 @@ from .fields import strain_field
 from .mesh import MeshGeometry
 from .tensors import DDOT_WEIGHTS, Material, Stress, stress
 
+# The central-difference step of gradient_flow_check (E* is quadratic in phi,
+# so the difference is exact up to roundoff) and verify_result's gates.
+_EPS = 1e-5
+_MONOTONE_SLACK = 1e-10  # energy rise taken as roundoff, relative to max(1, |E|)
+_IDENTITY_TOL = 1e-8     # relative to max(1, |E|)
+_SCHEME_TOL = 1e-12
+_GRADIENT_TOL = 1e-4     # relative to max(1, |dE*|)
+
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -151,8 +159,7 @@ def reduced_gradient(sim, phi) -> np.ndarray:
     return sim.material.alpha * np.asarray(phi) - sigma
 
 
-def gradient_flow_check(sim, phi, phi_prev, gradient, direction,
-                        eps: float = 1e-5) -> GradientFlowCheck:
+def gradient_flow_check(sim, phi, phi_prev, gradient, direction) -> GradientFlowCheck:
     """Check the gradient-flow identity for one consecutive pair (phi_prev, phi)
     on the operators of a Simulation sim; gradient is reduced_gradient(sim, phi).
 
@@ -169,9 +176,9 @@ def gradient_flow_check(sim, phi, phi_prev, gradient, direction,
         st = stress(C, strain_field(geom, u), tensor_field)
         return energy(geom, m, u, tensor_field, st, sim.load).total
 
-    e_plus = reduced_energy(phi + eps * psi)
-    e_minus = reduced_energy(phi - eps * psi)
-    cd = (e_plus - e_minus) / (2.0 * eps)
+    e_plus = reduced_energy(phi + _EPS * psi)
+    e_minus = reduced_energy(phi - _EPS * psi)
+    cd = (e_plus - e_minus) / (2.0 * _EPS)
 
     flow_lhs = sim.step_params.d * psi_inner(geom, np.asarray(phi) - np.asarray(phi_prev), psi)
     derivative = psi_inner(geom, gradient, psi)
@@ -205,16 +212,7 @@ class VerificationReport:
         return self.monotone_ok and self.identity_ok and self.scheme_ok and self.gradient_ok
 
 
-def verify_result(
-    result,
-    directions: int = 10,
-    eps: float = 1e-5,
-    seed: int = 0,
-    monotone_slack: float = 1e-10,
-    identity_tol: float = 1e-8,
-    scheme_tol: float = 1e-12,
-    gradient_tol: float = 1e-4,
-) -> VerificationReport:
+def verify_result(result, directions: int = 10, seed: int = 0) -> VerificationReport:
     """Structural checks on a finished run (see RunResult in the stepper).
 
     Gradient-flow checks run on the consecutive pairs the run sampled, on a
@@ -227,7 +225,7 @@ def verify_result(
     messages = []
 
     E = result.energy
-    slack = monotone_slack * np.maximum(1.0, np.abs(E[:-1]))
+    slack = _MONOTONE_SLACK * np.maximum(1.0, np.abs(E[:-1]))
     rises = np.flatnonzero(E[1:] > E[:-1] + slack)
     monotone_ok = rises.size == 0
     if not monotone_ok:
@@ -236,14 +234,14 @@ def verify_result(
 
     scale = np.maximum(1.0, np.abs(E[1:]))
     max_identity = float((result.identity_residual[1:] / scale).max()) if len(E) > 1 else 0.0
-    identity_ok = max_identity <= identity_tol
+    identity_ok = max_identity <= _IDENTITY_TOL
     if not identity_ok:
-        messages.append(f"energy identity residual {max_identity:.3e} exceeds {identity_tol:.1e}")
+        messages.append(f"energy identity residual {max_identity:.3e} exceeds {_IDENTITY_TOL:.1e}")
 
     max_scheme = float(result.scheme_residual.max())
-    scheme_ok = max_scheme <= scheme_tol
+    scheme_ok = max_scheme <= _SCHEME_TOL
     if not scheme_ok:
-        messages.append(f"tensor update residual {max_scheme:.3e} exceeds {scheme_tol:.1e}")
+        messages.append(f"tensor update residual {max_scheme:.3e} exceeds {_SCHEME_TOL:.1e}")
 
     rng = np.random.default_rng(seed)
     max_gradient = 0.0
@@ -252,11 +250,11 @@ def verify_result(
         gradient = reduced_gradient(sim, state.phi)
         for _ in range(directions):
             psi = random_direction(sim.geom, rng)
-            check = gradient_flow_check(sim, state.phi, phi_prev, gradient, psi, eps=eps)
+            check = gradient_flow_check(sim, state.phi, phi_prev, gradient, psi)
             worst = max(check.flow_error, check.derivative_error)
             if worst > max_gradient:
                 max_gradient = worst
-            if worst > gradient_tol:
+            if worst > _GRADIENT_TOL:
                 gradient_ok = False
                 messages.append(f"gradient-flow check failed at step {k}: {worst:.3e}")
                 break

@@ -108,7 +108,7 @@ def build_unit_square(n: int, pattern: str = "alternating") -> Mesh:
         edges=edges,
         edge_labels=np.full(len(edges), GAMMA1, dtype=np.int64),
     )
-    _check_conforming(mesh)
+    _check_conforming(mesh, hull=edges)
     return mesh
 
 
@@ -251,7 +251,8 @@ def _edge_keys(edges: np.ndarray, n_nodes: int) -> np.ndarray:
     return np.minimum(i, j) * n_nodes + np.maximum(i, j)
 
 
-def _check_conforming(mesh: Mesh) -> None:
+def _check_conforming(mesh: Mesh, hull: np.ndarray | None = None) -> None:
+    """hull is _boundary_edges of the triangles if the caller has it already."""
     nt, nn = mesh.n_triangles, mesh.n_nodes
     if nt == 0 or nn < 3:
         raise MeshFormatError("mesh needs at least one triangle and three nodes")
@@ -263,7 +264,7 @@ def _check_conforming(mesh: Mesh) -> None:
         raise MeshFormatError(f"node {int(unused[0])} belongs to no triangle")
 
     # the listed boundary must be the hull: the edges of exactly one triangle
-    hull = _edge_keys(_boundary_edges(mesh.triangles, nn), nn)
+    hull = _edge_keys(_boundary_edges(mesh.triangles, nn) if hull is None else hull, nn)
     listed, times = np.unique(_edge_keys(mesh.edges, nn), return_counts=True)
     if np.any(times > 1):
         raise MeshFormatError(f"boundary edge {divmod(int(listed[times > 1][0]), nn)} listed twice")
@@ -332,12 +333,18 @@ class _TokenReader:
 
     def __init__(self, path):
         self.path = str(path)
+        try:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError as exc:
+            raise MeshFormatError(
+                f"{self.path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
         self._tokens: list[tuple[str, int]] = []
-        with open(path) as f:
-            for ln, line in enumerate(f, start=1):
-                body = line.split("#", 1)[0]
-                for tok in body.split():
-                    self._tokens.append((tok, ln))
+        # not splitlines(), which also splits at \f, \v and more and shifts line numbers
+        for ln, line in enumerate(text.split("\n"), start=1):
+            body = line.split("#", 1)[0]
+            for tok in body.split():
+                self._tokens.append((tok, ln))
         self._pos = 0
 
     def _take(self, what: str) -> tuple[str, int]:
@@ -372,6 +379,8 @@ class _TokenReader:
             raise MeshFormatError(f"{self.path}:{ln}: expected an integer, got {tok!r}") from None
         if v < 0:
             raise MeshFormatError(f"{self.path}:{ln}: expected a non-negative integer, got {v}")
+        if v > np.iinfo(np.int64).max:
+            raise MeshFormatError(f"{self.path}:{ln}: integer {v} is too large for a 64-bit index")
         return v
 
     def take_label(self) -> int:

@@ -1,30 +1,29 @@
 """Run outputs: time-series CSVs, VTK snapshots, and a text summary.
 
 Every file is deterministic for a given run (no timestamps, fixed float
-formatting), so repeated serial runs are byte-identical. energy.csv and
-stress.csv carry one row per time level including k = 0; VTK files are
-written only at the snapshot cadence.
+formatting, raw bytes for binary data), so repeated serial runs are
+byte-identical. energy.csv and stress.csv carry one row per time level
+including k = 0; VTK files are written only at the snapshot cadence.
 
-Each block of rows (a CSV body, a VTK point, cell or scalar section, split
-every 256 rows) is formatted by one % over the row format repeated once
-per row, which gives the same bytes as formatting the rows one by one.
+Each block of CSV rows (split every 256 rows) is formatted by one % over
+the row format repeated once per row, which gives the same bytes as
+formatting the rows one by one.
 
-The VTK files are legacy ASCII 2.0 unstructured grids: the undeformed
+The VTK files are legacy binary VTK 2.0 unstructured grids: the undeformed
 mesh, the displacement as point vectors (warp by u in a viewer to see the
 deformed shape), and the internal tensor and stress fields as six cell
-scalars (xx, yy, xy each). write_outputs formats the mesh sections once
-and writes the same text into every snapshot.
+scalars (xx, yy, xy each). Each section is its text header line, then its
+values as big-endian bytes (>f8 for points and fields, exact doubles; >i4
+for cells and cell types), then a newline.
 """
 
 from __future__ import annotations
 
-import io
 import os
 
 import numpy as np
 
 from .fields import strain_field
-from .mesh import Mesh
 from .stepper import RunResult, SimulationState
 from .tensors import stress
 
@@ -36,10 +35,9 @@ def write_outputs(result: RunResult, outdir) -> list[str]:
         write_energy_csv(result, os.path.join(outdir, "energy.csv")),
         write_stress_csv(result, os.path.join(outdir, "stress.csv")),
     ]
-    mesh_text = _mesh_text(result.mesh)
     for state in result.snapshots:
         name = os.path.join(outdir, f"state_{state.k:06d}.vtk")
-        paths.append(write_vtk(result, state, name, mesh_text))
+        paths.append(write_vtk(result, state, name))
     paths.append(write_summary(result, os.path.join(outdir, "summary.txt")))
     return paths
 
@@ -69,38 +67,29 @@ def write_stress_csv(result: RunResult, path) -> str:
     return path
 
 
-def _mesh_text(mesh: Mesh) -> str:
-    """The POINTS, CELLS and CELL_TYPES sections of a VTK file of mesh."""
-    n, m = mesh.n_nodes, mesh.n_triangles
-    f = io.StringIO()
-    f.write(f"POINTS {n} double\n")
-    _write_rows(f, "%.12e %.12e 0.0\n", mesh.nodes)
-    f.write(f"CELLS {m} {4 * m}\n")
-    _write_rows(f, "3 %d %d %d\n", mesh.triangles)
-    f.write(f"CELL_TYPES {m}\n")
-    f.write("5\n" * m)
-    return f.getvalue()
-
-
-def write_vtk(result: RunResult, state: SimulationState, path, mesh_text: str | None = None) -> str:
-    """One VTK snapshot; mesh_text is _mesh_text(result.mesh), formatted here if not given."""
+def write_vtk(result: RunResult, state: SimulationState, path) -> str:
+    """One binary VTK snapshot of state."""
     mesh = result.mesh
     sigma = stress(result.config.material, strain_field(result.geom, state.u), state.phi).sigma
     n, m = mesh.n_nodes, mesh.n_triangles
-    with open(path, "w") as f:
-        f.write("# vtk DataFile Version 2.0\n")
-        f.write(f"viscofem state k={state.k} t={state.t:.6f}\n")
-        f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        f.write(_mesh_text(mesh) if mesh_text is None else mesh_text)
-        f.write(f"POINT_DATA {n}\n")
-        f.write("VECTORS u double\n")
-        _write_rows(f, "%.12e %.12e 0.0\n", state.u)
-        f.write(f"CELL_DATA {m}\n")
+    with open(path, "wb") as f:
+        f.write(f"# vtk DataFile Version 2.0\nviscofem state k={state.k} t={state.t:.6f}\n"
+                "BINARY\nDATASET UNSTRUCTURED_GRID\n".encode())
+        _write_block(f, f"POINTS {n} double", np.column_stack([mesh.nodes, np.zeros(n)]), ">f8")
+        _write_block(f, f"CELLS {m} {4 * m}", np.column_stack([np.full(m, 3), mesh.triangles]), ">i4")
+        _write_block(f, f"CELL_TYPES {m}", np.full(m, 5), ">i4")
+        _write_block(f, f"POINT_DATA {n}\nVECTORS u double",
+                     np.column_stack([state.u, np.zeros(n)]), ">f8")
+        f.write(f"CELL_DATA {m}\n".encode())
         names = ("phi_xx", "phi_yy", "phi_xy", "sigma_xx", "sigma_yy", "sigma_xy")
         for name, values in zip(names, np.column_stack([state.phi, sigma]).T):
-            f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            _write_rows(f, "%.12e\n", values)
+            _write_block(f, f"SCALARS {name} double 1\nLOOKUP_TABLE default", values, ">f8")
     return path
+
+
+def _write_block(f, header: str, values: np.ndarray, dtype: str) -> None:
+    """The header text, the values as raw bytes of dtype, and a newline."""
+    f.write(f"{header}\n".encode() + values.astype(dtype).tobytes() + b"\n")
 
 
 def write_summary(result: RunResult, path) -> str:

@@ -160,20 +160,17 @@ class RunResult:
 class Simulation:
     """Precomputed operators for one configuration; states flow through step().
 
-    A preclassified mesh may be handed in to bypass cfg.mesh / cfg.gamma0
-    (used by tests running on tiny hand-built meshes), or the MeshGeometry
-    of one, which is then used as is (verify_result reuses a run's).
+    The MeshGeometry of a preclassified mesh may be handed in to bypass
+    cfg.mesh / cfg.gamma0; it is then used as is (verify_result reuses a
+    run's, tests use it for tiny hand-built meshes).
     """
 
-    def __init__(self, cfg: RunConfig, mesh: Mesh | None = None,
-                 geom: MeshGeometry | None = None):
+    def __init__(self, cfg: RunConfig, geom: MeshGeometry | None = None):
         validate_material(cfg.material)
         self.config = cfg
         self.material = cfg.material
         self.step_params = StepParams.from_material(cfg.material, cfg.tau)
-        if geom is not None:
-            mesh = geom.mesh
-        if mesh is None:
+        if geom is None:
             mesh = cfg.mesh.build()
             if cfg.gamma0 == "file":
                 # keep the labels stored in the mesh file
@@ -181,10 +178,11 @@ class Simulation:
                     raise ValueError("gamma0 = file, but the mesh has no GAMMA0 edges")
             else:
                 mesh = classify_boundary(mesh, boundary_predicate(cfg.gamma0))
-        elif not np.any(mesh.edge_labels == GAMMA0):
+            geom = MeshGeometry(mesh)
+        elif not np.any(geom.mesh.edge_labels == GAMMA0):
             raise ValueError("supplied mesh has no Dirichlet (GAMMA0) edges")
-        self.mesh = mesh
-        self.geom = MeshGeometry(mesh) if geom is None else geom
+        self.mesh = mesh = geom.mesh
+        self.geom = geom
 
         self.dirichlet = build_dirichlet(mesh, cfg.bc.g)
         _check_held(mesh, self.dirichlet.nodes)
@@ -313,11 +311,11 @@ def default_sample_steps(n_steps: int) -> tuple[int, ...]:
     return tuple(sorted({max(1, n_steps // 10), max(1, n_steps // 2), n_steps}))
 
 
-def run(cfg: RunConfig, phi0=None, sample_steps=None) -> RunResult:
+def run(cfg: RunConfig, sample_steps=None) -> RunResult:
     sim = Simulation(cfg)
     if sample_steps is None:
         sample_steps = default_sample_steps(cfg.n_steps)
-    return sim.run(phi0=phi0, sample_steps=sample_steps)
+    return sim.run(sample_steps=sample_steps)
 
 
 def equilibrium_solve(sim: Simulation, phi) -> tuple[np.ndarray, SolveReport]:

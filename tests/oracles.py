@@ -295,6 +295,32 @@ def write_config(cfg, path) -> None:
         f.write(config_text(cfg))
 
 
+def read_vtk(path) -> tuple[list[str], dict[str, np.ndarray]]:
+    """The text lines and the data blocks of a legacy binary VTK file as
+    viscofem.outputs.write_vtk writes it, blocks keyed by section or field
+    name. Each block is read by the count its header gives, as big-endian
+    doubles or 4-byte ints, and must end in a newline."""
+    lines, blocks, count = [], {}, 0
+    with open(path, "rb") as f:
+        def block(key, dtype, size):
+            blocks[key] = np.frombuffer(f.read(size * np.dtype(dtype).itemsize), dtype)
+            assert f.read(1) == b"\n", f"block {key} does not end in a newline"
+        while line := f.readline().decode("ascii").rstrip("\n"):
+            lines.append(line)
+            word, *args = line.split()
+            if word in ("POINT_DATA", "CELL_DATA"):
+                count = int(args[0])
+            elif word == "POINTS":
+                block(word, ">f8", 3 * int(args[0]))
+            elif word == "VECTORS":
+                block(args[0], ">f8", 3 * count)
+            elif word in ("CELLS", "CELL_TYPES"):
+                block(word, ">i4", int(args[-1]))
+            elif word == "LOOKUP_TABLE":
+                block(lines[-2].split()[1], ">f8", count)
+    return lines, blocks
+
+
 def delaunay_mesh(n=6, seed=0) -> Mesh:
     """Unstructured mesh of a 4n-gon inscribed in the unit circle.
 

@@ -1,10 +1,13 @@
 """Configuration parsing, output files, and the command line front end."""
 
+import re
 import subprocess
 import sys
+from contextlib import suppress
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from viscofem.config import (
@@ -20,7 +23,7 @@ from viscofem import outputs
 from viscofem.outputs import write_outputs
 from viscofem.stepper import Simulation, run
 
-from oracles import stress_of, write_config
+from oracles import read_vtk, stress_of, write_config
 from test_stepper import BOW_TIE_MESH, PULL, TWO_SQUARES_MESH, make_config
 
 BASE_LINES = [
@@ -100,6 +103,13 @@ class TestParsing:
 
 
 class TestRejections:
+    def test_non_utf8_byte_names_file(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"# caf\xe9 run\n" + edited().encode())
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: not UTF-8 text (invalid continuation byte at byte 5)")):
+            parse_config(path)
+
     CASES = [
         (dict(replace=(9, "[grid]")), 9, "unknown section"),
         (dict(replace=(9, "[mesh")), 9, "malformed section header"),
@@ -225,51 +235,32 @@ class TestOutputFiles:
         rows = ["%.12e,%.12e,%.12e,%.12e" % (r.times[k], *r.sigma_linf[k]) for k in range(len(r.times))]
         assert path.read_text().splitlines()[1:] == rows
 
-    def test_vtk_structure(self, small_result, tmp_path, monkeypatch):
-        monkeypatch.setattr(outputs, "_BLOCK_ROWS", 7)  # 25 nodes and 32 cells: partial last blocks
+    def test_vtk_structure(self, small_result, tmp_path):
         write_outputs(small_result, tmp_path)
-        lines = (tmp_path / "state_000000.vtk").read_text().splitlines()
         mesh = small_result.mesh
         n, m = mesh.n_nodes, mesh.n_triangles
-        assert lines[0] == "# vtk DataFile Version 2.0"
-        assert lines[2] == "ASCII"
-        assert lines[3] == "DATASET UNSTRUCTURED_GRID"
-        assert lines[4] == f"POINTS {n} double"
-        points = np.array([l.split() for l in lines[5:5 + n]], dtype=float)
-        assert points.shape == (n, 3)
-        assert np.all(points[:, 2] == 0.0)
-        assert_allclose(points[:, :2], mesh.nodes, atol=1e-12)
-        at = 5 + n
-        assert lines[at] == f"CELLS {m} {4 * m}"
-        assert all(l.startswith("3 ") for l in lines[at + 1:at + 1 + m])
-        at += 1 + m
-        assert lines[at] == f"CELL_TYPES {m}"
-        assert all(l == "5" for l in lines[at + 1:at + 1 + m])
-        at += 1 + m
-        assert lines[at] == f"POINT_DATA {n}"
-        assert lines[at + 1] == "VECTORS u double"
-        at += 2 + n
-        assert lines[at] == f"CELL_DATA {m}"
-        names = [l.split()[1] for l in lines if l.startswith("SCALARS")]
-        assert names == ["phi_xx", "phi_yy", "phi_xy", "sigma_xx", "sigma_yy", "sigma_xy"]
-        assert sum(1 for l in lines if l == "LOOKUP_TABLE default") == 6
-
-        # every data line of every snapshot, against the values formatted one by one
         geom = MeshGeometry(mesh)
+        scalars = [f"{field}_{c}" for field in ("phi", "sigma") for c in ("xx", "yy", "xy")]
         for state in small_result.snapshots:
-            lines = (tmp_path / f"state_{state.k:06d}.vtk").read_text().splitlines()
+            lines, blocks = read_vtk(tmp_path / f"state_{state.k:06d}.vtk")
+            assert lines == [
+                "# vtk DataFile Version 2.0", f"viscofem state k={state.k} t={state.t:.6f}",
+                "BINARY", "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double",
+                f"CELLS {m} {4 * m}", f"CELL_TYPES {m}", f"POINT_DATA {n}", "VECTORS u double",
+                f"CELL_DATA {m}",
+            ] + [line for name in scalars
+                 for line in (f"SCALARS {name} double 1", "LOOKUP_TABLE default")]
+
+            # every value exactly as the run holds it
+            points, u = blocks["POINTS"].reshape(n, 3), blocks["u"].reshape(n, 3)
+            assert np.array_equal(points, np.column_stack([mesh.nodes, np.zeros(n)]))
+            assert np.array_equal(u, np.column_stack([state.u, np.zeros(n)]))
+            cells = blocks["CELLS"].reshape(m, 4)
+            assert np.array_equal(cells, np.column_stack([np.full(m, 3), mesh.triangles]))
+            assert np.array_equal(blocks["CELL_TYPES"], np.full(m, 5))
             sigma = stress_of(geom, small_result.config.material, state.u, state.phi).sigma
-            assert lines[5:5 + n] == ["%.12e %.12e 0.0" % (x, y) for x, y in mesh.nodes]
-            assert lines[6 + n:6 + n + m] == ["3 %d %d %d" % tuple(tri) for tri in mesh.triangles]
-            at = 9 + n + 2 * m
-            assert lines[at:at + n] == ["%.12e %.12e 0.0" % (ux, uy) for ux, uy in state.u]
-            at += n + 1
-            for field in (state.phi, sigma):
-                for col in range(3):
-                    at += 2
-                    assert lines[at:at + m] == ["%.12e" % v for v in field[:, col]]
-                    at += m
-            assert at == len(lines)
+            for name, values in zip(scalars, np.column_stack([state.phi, sigma]).T):
+                assert np.array_equal(blocks[name], values)
 
     def test_summary_content(self, small_result, tmp_path):
         write_outputs(small_result, tmp_path)
@@ -289,7 +280,6 @@ class TestOutputFiles:
             assert path.read_bytes() == (second / path.name).read_bytes()
 
     def test_snapshots_equal_standalone_vtk(self, small_result, tmp_path):
-        # write_outputs shares one mesh text between its snapshots
         write_outputs(small_result, tmp_path / "all")
         for state in small_result.snapshots:
             name = f"state_{state.k:06d}.vtk"
@@ -404,6 +394,33 @@ class TestCommandLine:
         assert err.startswith("error: ") and "nan.mesh:4: expected a finite number" in err
         assert err.count("\n") == 1
 
+    def test_solve_rejects_index_beyond_int64(self, capsys, tmp_path):
+        mesh_path = tmp_path / "huge.mesh"
+        mesh_path.write_text(
+            "nodes 3\n0 0\n1 0\n0 1\n"
+            f"triangles 1\n0 1 {2**63}\n"
+            "boundary 3\n0 1 0\n1 2 1\n2 0 0\n"
+        )
+        path = tmp_path / "huge.cfg"
+        path.write_text(edited(replace=(10, f"path = {mesh_path}")))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mesh_path}:6: integer {2**63} is too large")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", ["config", "mesh"])
+    def test_solve_names_non_utf8_file(self, capsys, tmp_path, bad):
+        mesh_path = tmp_path / "square.mesh"
+        mesh_path.write_bytes(b"# \xff\n" * (bad == "mesh") + b"nodes 4\n0 0\n1 0\n1 1\n0 1\n"
+                              b"triangles 2\n0 1 2\n0 2 3\nboundary 4\n0 1 1\n1 2 0\n2 3 1\n3 0 0\n")
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"# \xff\n" * (bad == "config")
+                         + edited(replace=(10, f"path = {mesh_path}")).encode())
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        named = path if bad == "config" else mesh_path
+        assert err == f"error: {named}: not UTF-8 text (invalid start byte at byte 2)\n"
+
     @pytest.mark.parametrize("text,node", [(TWO_SQUARES_MESH, 4), (BOW_TIE_MESH, 3)])
     def test_solve_rejects_part_not_held(self, capsys, tmp_path, text, node):
         mesh_path = tmp_path / "loose.mesh"
@@ -462,3 +479,39 @@ class TestCommandLine:
         assert proc.returncode == 0
         cfg = parse_config_text(proc.stdout)
         assert cfg.t_end == 2.0
+
+
+# ---------------------------------------------------------------------------
+# malformed configurations (hypothesis): only ConfigError may escape
+# ---------------------------------------------------------------------------
+
+
+VALUES = st.one_of(
+    st.text(max_size=12),
+    st.floats().map(repr),
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["0", "-0", "1e-320", "1e308", "nan", "-inf", "1_0", "\u0663", "\u00b2",
+                     "+-1", "file", "sides", "m.mesh", "[mesh]", "= 1", "#"]),
+)
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestMalformedConfigs:
+    @FUZZ
+    @given(edits=st.lists(st.tuples(st.integers(0, len(BASE_LINES) - 1), VALUES, st.booleans()),
+                          min_size=1, max_size=3))
+    def test_edited_lines(self, edits):
+        lines = list(BASE_LINES)
+        for row, value, keep_key in edits:
+            key, eq, _ = lines[row].partition("=")
+            lines[row] = f"{key}= {value}" if keep_key and eq else value
+        with suppress(ConfigError):
+            parse_config_text("\n".join(lines))
+
+    @FUZZ
+    @given(data=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "run.cfg"
+        path.write_bytes(data)
+        with suppress(ConfigError):
+            parse_config(path)

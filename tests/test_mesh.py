@@ -1,7 +1,11 @@
 """Mesh construction, classification, geometry and text format tests."""
 
+import re
+from contextlib import suppress
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from viscofem.mesh import (
@@ -378,6 +382,42 @@ class TestTextFormat:
         with pytest.raises(MeshFormatError, match=r"mesh\.txt:4: expected a finite number"):
             load_mesh(path)
 
+    @pytest.mark.parametrize("triangle,edge,line", [
+        (f"0 1 {2**63}", "2 0 0", 6),
+        ("0 1 2", f"{2**64} 0 0", 10),
+    ])
+    def test_index_beyond_int64_is_line_anchored(self, tmp_path, triangle, edge, line):
+        path = tmp_path / "mesh.txt"
+        path.write_text(
+            "nodes 3\n0 0\n1 0\n0 1\n"
+            f"triangles 1\n{triangle}\n"
+            f"boundary 3\n0 1 1\n1 2 1\n{edge}\n"
+        )
+        with pytest.raises(MeshFormatError, match=rf"mesh\.txt:{line}: integer \d+ is too large"):
+            load_mesh(path)
+
+    def test_largest_int64_index_reaches_range_check(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text(
+            "nodes 3\n0 0\n1 0\n0 1\n"
+            f"triangles 1\n0 1 {2**63 - 1}\n"
+            "boundary 3\n0 1 1\n1 2 1\n2 0 0\n"
+        )
+        with pytest.raises(MeshFormatError, match=f"node {2**63 - 1}, but only 3 nodes"):
+            load_mesh(path)
+
+    def test_non_utf8_byte_names_file(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_bytes(
+            b"# caf\xe9 mesh\n"
+            b"nodes 3\n0 0\n1 0\n0 1\n"
+            b"triangles 1\n0 1 2\n"
+            b"boundary 3\n0 1 1\n1 2 1\n2 0 0\n"
+        )
+        with pytest.raises(MeshFormatError, match=re.escape(
+                f"{path}: not UTF-8 text (invalid continuation byte at byte 5)")):
+            load_mesh(path)
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "mesh.txt"
         path.write_text("nodes 3\n0 0\n1 0\n")
@@ -411,3 +451,42 @@ class TestTextFormat:
         back = load_mesh(path)
         assert back.n_nodes == 1681 and back.n_triangles == 3200
         assert int(np.sum(back.edge_labels == GAMMA0)) == 80
+
+
+# ---------------------------------------------------------------------------
+# malformed files (hypothesis): only MeshFormatError may escape load_mesh
+# ---------------------------------------------------------------------------
+
+
+SQUARE_LINES = ["nodes 4", "0 0", "1 0", "1 1", "0 1", "triangles 2", "0 1 2", "0 2 3",
+                "boundary 4", "0 1 1", "1 2 1", "2 3 0", "3 0 1"]
+MESH_TOKENS = st.one_of(
+    st.integers(-2, 5).map(str),
+    st.integers(2**63 - 2, 2**64).map(str),
+    st.sampled_from(["nodes", "triangles", "boundary", "#", "nan", "-inf", "1e999", "0.5",
+                     "1_0", "\u0663", "\u00b2", "\n", "\f", "\r"]),
+    st.text(max_size=4),
+)
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestMalformedFiles:
+    @FUZZ
+    @given(edits=st.lists(st.tuples(st.integers(0, len(SQUARE_LINES) - 1), st.integers(0, 2),
+                                    MESH_TOKENS), min_size=1, max_size=3))
+    def test_edited_tokens(self, tmp_path_factory, edits):
+        lines = [line.split() for line in SQUARE_LINES]
+        for row, col, token in edits:
+            lines[row][col % len(lines[row])] = token
+        path = tmp_path_factory.mktemp("fuzz") / "mesh.txt"
+        path.write_text("\n".join(map(" ".join, lines)) + "\n", encoding="utf-8")
+        with suppress(MeshFormatError):
+            load_mesh(path)
+
+    @FUZZ
+    @given(data=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "mesh.txt"
+        path.write_bytes(data)
+        with suppress(MeshFormatError):
+            load_mesh(path)

@@ -327,7 +327,7 @@ class TestValidation:
     def test_supplied_mesh_needs_dirichlet_edges(self):
         cfg = make_config(n=2)
         with pytest.raises(ValueError, match="GAMMA0"):
-            Simulation(cfg, mesh=build_unit_square(2))
+            Simulation(cfg, geom=MeshGeometry(build_unit_square(2)))
 
     def test_file_labels_mode(self, tmp_path):
         labeled = classify_boundary(build_unit_square(3), boundary_predicate("top"))
@@ -370,7 +370,7 @@ class TestValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             Simulation(cfg)
         with pytest.raises(ValueError, match=re.escape(message)):
-            Simulation(cfg, mesh=mesh)
+            Simulation(cfg, geom=MeshGeometry(mesh))
 
     def test_inadmissible_material_rejected(self):
         cfg = make_config(mu=-1.0)
