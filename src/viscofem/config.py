@@ -91,7 +91,8 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     def fail(line_no, message):
         raise ConfigError(f"{origin}:{line_no}: {message}")
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # not splitlines(), which also splits at \f, \v and more and shifts line numbers
+    for line_no, line in enumerate(text.split("\n"), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -127,8 +128,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
 
     def number(section, key, default=None, convert=float, kind="number"):
         value, line_no = take(section, key, default)
-        if isinstance(value, (float, int)):
-            return value
         try:
             return convert(value)
         except ValueError:
@@ -136,8 +135,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
 
     def vector(section, key, count, default):
         value, line_no = take(section, key, default)
-        if isinstance(value, np.ndarray):
-            return value
         parts = value.split()
         if len(parts) != count:
             fail(line_no, f"{key!r} needs {count} numbers, got {len(parts)}")
@@ -200,13 +197,13 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     if gamma0 == "file" and mesh.path is None:
         fail(g0_line, "gamma0 = file requires a mesh loaded from 'path'")
     bc = BoundaryData(
-        g=AffineMap.from_coefficients(vector("bc", "g", 6, np.zeros(6))),
-        q=vector("bc", "q", 2, np.zeros(2)),
-        f=vector("bc", "f", 2, np.zeros(2)),
+        g=AffineMap.from_coefficients(vector("bc", "g", 6, "0 0 0 0 0 0")),
+        q=vector("bc", "q", 2, "0 0"),
+        f=vector("bc", "f", 2, "0 0"),
     )
 
     outdir, _ = take("output", "directory", default="out")
-    cadence = number("output", "cadence", default=10, convert=strict_int, kind="nonnegative integer")
+    cadence = number("output", "cadence", default="10", convert=strict_int, kind="nonnegative integer")
     if cadence < 0:
         raise ConfigError(f"{origin}: [output] cadence must be >= 0, got {cadence}")
 

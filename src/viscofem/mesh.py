@@ -16,12 +16,17 @@ The text format mirrors the in-memory layout, 0-based indices throughout:
     triangles M      followed by M lines  "i j k"
     boundary B       followed by B lines  "i j label"   label 0 = Dirichlet
 
-Blank lines and "#" comments are allowed anywhere. Triangles given clockwise
-are accepted and silently reoriented; degenerate ones are rejected.
+Blank lines and "#" comments are allowed anywhere; a line ends at a line feed
+only. Each section is converted by one numpy call; a section that fails is
+walked token by token to name its first bad token with file:line. Clockwise
+triangles are reoriented; degenerate ones and ones whose area overflows are
+rejected.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -277,7 +282,11 @@ def _check_conforming(mesh: Mesh, hull: np.ndarray | None = None) -> None:
 
 
 def _fix_orientation(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    det, floor = _doubled_areas(nodes, triangles)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        det, floor = _doubled_areas(nodes, triangles)
+    if not np.all(np.isfinite(det)):
+        k = int(np.argmin(np.isfinite(det)))
+        raise MeshFormatError(f"triangle {k} is too large: its doubled area overflows ({det[k]})")
     if np.any(np.abs(det) <= floor):
         k = int(np.argmin(np.abs(det)))
         raise MeshFormatError(f"triangle {k} is degenerate (doubled area {det[k]})")
@@ -292,106 +301,98 @@ def _fix_orientation(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# The sections in file order, with the kind of each column: "number" is a
+# finite float, "index" a non-negative int64, "label" exactly "0" or "1".
+_SECTIONS = (("nodes", ("number",) * 2), ("triangles", ("index",) * 3),
+             ("boundary", ("index", "index", "label")))
+_EXPECTED = {"number": "a number", "index": "an integer", "label": "a boundary label"}
+
+
 def load_mesh(path) -> Mesh:
     """Parse the text format, reorient clockwise triangles, validate."""
-    reader = _TokenReader(path)
-    nodes = np.array(
-        [[reader.take_float(), reader.take_float()] for _ in range(reader.take_count("nodes"))]
-    ).reshape(-1, 2)
-    triangles = np.array(
-        [
-            [reader.take_index(), reader.take_index(), reader.take_index()]
-            for _ in range(reader.take_count("triangles"))
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    boundary = np.array(
-        [
-            [reader.take_index(), reader.take_index(), reader.take_label()]
-            for _ in range(reader.take_count("boundary"))
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    reader.expect_end()
-
-    if triangles.size and triangles.max() >= nodes.shape[0]:
-        raise MeshFormatError(
-            f"{reader.path}: triangle refers to node {triangles.max()}, "
-            f"but only {nodes.shape[0]} nodes are defined"
-        )
-    triangles = _fix_orientation(nodes, triangles)
-    mesh = Mesh(nodes=nodes, triangles=triangles, edges=boundary[:, :2], edge_labels=boundary[:, 2])
+    path = str(path)
     try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    # a comment ends at "\n", the only line end that line numbers count
+    text = re.sub("#[^\n]*", "", text)
+    tokens = text.split()
+
+    def fail(i: int, message: str):
+        ends = np.cumsum([len(line.split()) for line in text.split("\n")])
+        raise MeshFormatError(f"{path}:{np.searchsorted(ends, i, side='right') + 1}: {message}")
+
+    def walk(start: int, stop: int, kinds: tuple[str, ...]):
+        """Raise at the first bad token of tokens[start:stop], whose kinds
+        cycle through kinds, or at the end of the file if it comes first;
+        return if there is neither."""
+        for i in range(start, min(stop, len(tokens))):
+            message = _token_error(tokens[i], kinds[(i - start) % len(kinds)])
+            if message is not None:
+                fail(i, message)
+        if stop > len(tokens):
+            kind = kinds[(len(tokens) - start) % len(kinds)]
+            raise MeshFormatError(f"{path}: unexpected end of file, "
+                                  f"expected {_EXPECTED.get(kind, f'keyword {kind!r}')}")
+
+    pos, arrays = 0, []
+    for keyword, kinds in _SECTIONS:
+        walk(pos, pos + 2, (keyword, "index"))
+        # a Python int: count * width can pass 2**63 in a malformed file
+        start, pos = pos + 2, pos + 2 + int(tokens[pos + 1]) * len(kinds)
+        values = _bulk(tokens[start:pos], kinds) if pos <= len(tokens) else None
+        if values is None:
+            walk(start, pos, kinds)
+        arrays.append(values)
+    if pos < len(tokens):
+        fail(pos, f"trailing content {tokens[pos]!r} after boundary section")
+
+    nodes, triangles, boundary = arrays
+    try:
+        if triangles.size and triangles.max() >= nodes.shape[0]:
+            raise MeshFormatError(f"triangle refers to node {triangles.max()}, "
+                                  f"but only {nodes.shape[0]} nodes are defined")
+        mesh = Mesh(nodes=nodes, triangles=_fix_orientation(nodes, triangles),
+                    edges=boundary[:, :2], edge_labels=boundary[:, 2])
         _check_conforming(mesh)
     except MeshFormatError as exc:
-        raise MeshFormatError(f"{reader.path}: {exc}") from None
+        raise MeshFormatError(f"{path}: {exc}") from None
     return mesh
 
 
-class _TokenReader:
-    """Whitespace token stream with line tracking and '#' comments."""
+def _bulk(block: list[str], kinds: tuple[str, ...]) -> np.ndarray | None:
+    """The tokens as rows of len(kinds) columns, converted in one step, or
+    None if any token is bad: the tests of _token_error on whole arrays."""
+    width = len(kinds)
+    try:
+        values = np.array(block, dtype=float if "number" in kinds else np.int64).reshape(-1, width)
+    except (ValueError, OverflowError):
+        return None
+    if "number" in kinds:
+        return values if np.all(np.isfinite(values)) else None
+    labels = set(block[width - 1::width]) if kinds[-1] == "label" else set()
+    return values if values.min(initial=0) >= 0 and labels <= {"0", "1"} else None
 
-    def __init__(self, path):
-        self.path = str(path)
-        try:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
-        except UnicodeDecodeError as exc:
-            raise MeshFormatError(
-                f"{self.path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-        self._tokens: list[tuple[str, int]] = []
-        # not splitlines(), which also splits at \f, \v and more and shifts line numbers
-        for ln, line in enumerate(text.split("\n"), start=1):
-            body = line.split("#", 1)[0]
-            for tok in body.split():
-                self._tokens.append((tok, ln))
-        self._pos = 0
 
-    def _take(self, what: str) -> tuple[str, int]:
-        if self._pos >= len(self._tokens):
-            raise MeshFormatError(f"{self.path}: unexpected end of file, expected {what}")
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
+def _token_error(tok: str, kind: str) -> str | None:
+    """Why tok is not a token of kind, or None if it is one. A kind that is
+    not in _EXPECTED is a keyword, which tok must equal."""
+    if kind not in _EXPECTED:
+        return None if tok == kind else f"expected keyword {kind!r}, got {tok!r}"
+    if kind == "label":
+        return None if tok in ("0", "1") else (
+            f"boundary label must be 0 (Dirichlet) or 1 (traction), got {tok!r}")
+    try:
+        value = float(tok) if kind == "number" else int(tok)
+    except ValueError:
+        return f"expected {_EXPECTED[kind]}, got {tok!r}"
+    if kind == "number":
+        return None if math.isfinite(value) else f"expected a finite number, got {tok!r}"
+    if value < 0:
+        return f"expected a non-negative integer, got {value}"
+    if value > np.iinfo(np.int64).max:
+        return f"integer {value} is too large for a 64-bit index"
+    return None
 
-    def take_count(self, keyword: str) -> int:
-        tok, ln = self._take(f"keyword {keyword!r}")
-        if tok != keyword:
-            raise MeshFormatError(f"{self.path}:{ln}: expected keyword {keyword!r}, got {tok!r}")
-        count = self.take_index()
-        return count
-
-    def take_float(self) -> float:
-        tok, ln = self._take("a number")
-        try:
-            v = float(tok)
-        except ValueError:
-            raise MeshFormatError(f"{self.path}:{ln}: expected a number, got {tok!r}") from None
-        if not np.isfinite(v):
-            raise MeshFormatError(f"{self.path}:{ln}: expected a finite number, got {tok!r}")
-        return v
-
-    def take_index(self) -> int:
-        tok, ln = self._take("an integer")
-        try:
-            v = int(tok)
-        except ValueError:
-            raise MeshFormatError(f"{self.path}:{ln}: expected an integer, got {tok!r}") from None
-        if v < 0:
-            raise MeshFormatError(f"{self.path}:{ln}: expected a non-negative integer, got {v}")
-        if v > np.iinfo(np.int64).max:
-            raise MeshFormatError(f"{self.path}:{ln}: integer {v} is too large for a 64-bit index")
-        return v
-
-    def take_label(self) -> int:
-        tok, ln = self._take("a boundary label")
-        if tok not in ("0", "1"):
-            raise MeshFormatError(
-                f"{self.path}:{ln}: boundary label must be 0 (Dirichlet) or 1 (traction), got {tok!r}"
-            )
-        return int(tok)
-
-    def expect_end(self) -> None:
-        if self._pos < len(self._tokens):
-            tok, ln = self._tokens[self._pos]
-            raise MeshFormatError(f"{self.path}:{ln}: trailing content {tok!r} after boundary section")

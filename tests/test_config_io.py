@@ -78,6 +78,17 @@ class TestParsing:
             "mu = 1.0", "mu = 1.0   # shear modulus")
         assert config_text(parse_config_text(noisy)) == config_text(parse_config_text(edited()))
 
+    # str.splitlines() breaks lines at each of these; the format breaks only at "\n"
+    @pytest.mark.parametrize("char", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_other_line_breaks_stay_inside_comments(self, char):
+        text = config_text(preset_config("example1"))
+        noisy = text.replace("# viscofem run", f"# viscofem{char}run", 1)
+        assert noisy != text
+        assert config_text(parse_config_text(noisy, origin="f.cfg")) == text
+        line = noisy.count("\n") + 1
+        with pytest.raises(ConfigError, match=re.escape(f"f.cfg:{line}: unknown key 'bogus' in [output]")):
+            parse_config_text(noisy + "bogus = 1\n", origin="f.cfg")
+
     def test_defaults(self):
         # drop the g line and the whole [output] block
         keep = [l for i, l in enumerate(BASE_LINES, 1) if i not in (13, 14, 15, 16)]

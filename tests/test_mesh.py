@@ -1,6 +1,7 @@
 """Mesh construction, classification, geometry and text format tests."""
 
 import re
+import warnings
 from contextlib import suppress
 
 import numpy as np
@@ -308,8 +309,20 @@ class TestTextFormat:
             "triangles 1\n0 1 2\n"
             "boundary 3\n0 1 1\n1 2 1\n2 0 0\n"
         )
-        with pytest.raises(MeshFormatError, match="degenerate"):
+        with pytest.raises(MeshFormatError, match=re.escape(
+                f"{path}: triangle 0 is degenerate (doubled area 0.0)")):
             load_mesh(path)
+
+    @pytest.mark.parametrize("nodes,area", [("0 0\n1e200 0\n0 1e200", "inf"),
+                                            ("0 0\n1e200 1e200\n1e200 1e200", "nan")])
+    def test_overflowing_area_rejected(self, tmp_path, nodes, area):
+        path = tmp_path / "mesh.txt"
+        path.write_text(f"nodes 3\n{nodes}\ntriangles 1\n0 1 2\nboundary 3\n0 1 1\n1 2 1\n2 0 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshFormatError, match=re.escape(
+                    f"{path}: triangle 0 is too large: its doubled area overflows ({area})")):
+                load_mesh(path)
 
     def test_nonconforming_shared_edge(self, tmp_path):
         path = tmp_path / "mesh.txt"
@@ -443,6 +456,56 @@ class TestTextFormat:
         )
         with pytest.raises(MeshFormatError, match="trailing"):
             load_mesh(path)
+
+    # the reference triangle, one token row per line: line k is TRIANGLE_LINES[k - 1]
+    TRIANGLE_LINES = ["nodes 3", "0 0", "1 0", "0 1", "triangles 1", "0 1 2",
+                      "boundary 3", "0 1 1", "1 2 1", "2 0 0"]
+    MESSAGES = [
+        ({1: "node 3"}, 1, "expected keyword 'nodes', got 'node'"),
+        ({5: "triangle 1"}, 5, "expected keyword 'triangles', got 'triangle'"),
+        ({1: "nodes three"}, 1, "expected an integer, got 'three'"),
+        ({1: "nodes -3"}, 1, "expected a non-negative integer, got -3"),
+        ({4: "0 one"}, 4, "expected a number, got 'one'"),
+        ({4: "0 inf"}, 4, "expected a finite number, got 'inf'"),
+        ({6: "0 1 2.0"}, 6, "expected an integer, got '2.0'"),
+        ({6: "0 -1 2"}, 6, "expected a non-negative integer, got -1"),
+        ({9: f"1 {2**63} 1"}, 9, f"integer {2**63} is too large for a 64-bit index"),
+        ({9: "1 2 5"}, 9, "boundary label must be 0 (Dirichlet) or 1 (traction), got '5'"),
+        ({10: "2 0 +0"}, 10, "boundary label must be 0 (Dirichlet) or 1 (traction), got '+0'"),
+        ({10: "2 0 0 extra"}, 10, "trailing content 'extra' after boundary section"),
+        # two bad tokens in one block: the earlier one is reported, whatever its kind
+        ({3: "inf 0", 4: "0 one"}, 3, "expected a finite number, got 'inf'"),
+        ({6: "0 -1 2", 8: "0 x 1"}, 6, "expected a non-negative integer, got -1"),
+        ({8: "0 1 7", 9: "x 2 1"}, 8, "boundary label must be 0 (Dirichlet) or 1 (traction), got '7'"),
+        # tokens in comments do not count, and only "\n" ends a line
+        ({2: "0 0  # 5 5 5", 3: "1\f0\v", 4: "0 one"}, 4, "expected a number, got 'one'"),
+    ]
+
+    @pytest.mark.parametrize("edits,line,message", MESSAGES)
+    def test_message_is_line_anchored(self, tmp_path, edits, line, message):
+        lines = [edits.get(k, text) for k, text in enumerate(self.TRIANGLE_LINES, start=1)]
+        path = tmp_path / "mesh.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshFormatError, match=re.escape(f"{path}:{line}: {message}") + "$"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("keep,text,expected", [
+        (0, "", "keyword 'nodes'"),
+        (0, "nodes", "an integer"),
+        (3, "", "a number"),
+        (4, "", "keyword 'triangles'"),
+        (5, "0 1", "an integer"),
+        (9, "2 0", "a boundary label"),
+        (0, "nodes 9223372036854775807", "a number"),
+    ])
+    def test_unexpected_end_names_what_was_expected(self, tmp_path, keep, text, expected):
+        path = tmp_path / "mesh.txt"
+        path.write_text("\n".join(self.TRIANGLE_LINES[:keep] + [text, "# end"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshFormatError, match=re.escape(
+                    f"{path}: unexpected end of file, expected {expected}") + "$"):
+                load_mesh(path)
 
     def test_n40_round_trip_counts(self, tmp_path):
         mesh = classify_boundary(build_unit_square(40), sides)
