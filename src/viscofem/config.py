@@ -37,8 +37,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _text_value(section: str, key: str, value: str) -> str:
+    """value, or ValueError when its `key = value` line would parse back to another."""
+    if not value or value != value.strip() or any(c in value for c in "#\n\r"):
+        raise ValueError(f"[{section}] {key} = {value!r} cannot be written to a config file "
+                         "(empty, '#', a line break, or whitespace at either end)")
+    return value
+
+
 def config_text(cfg: RunConfig) -> str:
-    """Canonical text form of a configuration; parse(config_text(c)) == c."""
+    """Canonical text form of a configuration; parse(config_text(c)) == c.
+    A mesh path or output directory the format cannot hold is a ValueError."""
     m = cfg.material
     lines = [
         "# viscofem run configuration",
@@ -55,7 +64,7 @@ def config_text(cfg: RunConfig) -> str:
         "[mesh]",
     ]
     if cfg.mesh.path is not None:
-        lines.append(f"path = {cfg.mesh.path}")
+        lines.append(f"path = {_text_value('mesh', 'path', cfg.mesh.path)}")
     else:
         lines.append(f"n = {cfg.mesh.n}")
         lines.append(f"pattern = {cfg.mesh.pattern}")
@@ -68,7 +77,7 @@ def config_text(cfg: RunConfig) -> str:
         "f = " + " ".join(_fmt(c) for c in cfg.bc.f),
         "",
         "[output]",
-        f"directory = {cfg.outdir}",
+        f"directory = {_text_value('output', 'directory', cfg.outdir)}",
         f"cadence = {cfg.cadence}",
         "",
     ]

@@ -37,10 +37,12 @@ driver, and the stepper, forms it once per state. Each check reads its
 fields directly, so a broken tensor update shows in the scheme residual
 whatever produced it.
 
-verify_result builds one fresh Simulation of the run's configuration and
-geometry per call, so every probe solves on a system assembled and factored
-independently of the forward run; the Simulation factors its plain system
-once, on the first probe, and every other probe is a substitution.
+verify_result probes on the run's own Simulation, result.sim: the pairs
+the steps produced on the condensed system meet derivatives of E* solved
+on the plain system. A fresh Simulation would rebuild bitwise the same
+matrices and factor by the same deterministic code, so it would check
+nothing more. The first probe factors the plain system; every later probe,
+in this verify or a second one, is a substitution.
 """
 
 from __future__ import annotations
@@ -215,13 +217,10 @@ class VerificationReport:
 def verify_result(result, directions: int = 10, seed: int = 0) -> VerificationReport:
     """Structural checks on a finished run (see RunResult in the stepper).
 
-    Gradient-flow checks run on the consecutive pairs the run sampled, on a
-    fresh Simulation of the run's configuration and geometry; the other checks
-    cover every step.
+    Gradient-flow checks run on the consecutive pairs the run sampled, on the
+    run's own Simulation result.sim; the other checks cover every step.
     """
-    from .stepper import Simulation  # deferred to avoid a module cycle
-
-    sim = Simulation(result.config, geom=result.geom)
+    sim = result.sim
     messages = []
 
     E = result.energy

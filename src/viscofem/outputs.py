@@ -70,7 +70,8 @@ def write_stress_csv(result: RunResult, path) -> str:
 def write_vtk(result: RunResult, state: SimulationState, path) -> str:
     """One binary VTK snapshot of state."""
     mesh = result.mesh
-    sigma = stress(result.config.material, strain_field(result.geom, state.u), state.phi).sigma
+    sim = result.sim
+    sigma = stress(sim.step_params.C, strain_field(sim.geom, state.u), state.phi).sigma
     n, m = mesh.n_nodes, mesh.n_triangles
     with open(path, "wb") as f:
         f.write(f"# vtk DataFile Version 2.0\nviscofem state k={state.k} t={state.t:.6f}\n"
@@ -93,7 +94,7 @@ def _write_block(f, header: str, values: np.ndarray, dtype: str) -> None:
 
 
 def write_summary(result: RunResult, path) -> str:
-    cfg = result.config
+    cfg = result.sim.config
     m = cfg.material
     n_steps = len(result.times) - 1
     if cfg.mesh.path is not None:

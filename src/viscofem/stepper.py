@@ -132,10 +132,10 @@ def count_steps(t_end: float, tau: float) -> int:
 
 @dataclass
 class RunResult:
-    """Full trajectory record of one run. Arrays have one row per time level."""
+    """Full trajectory record of one run by the Simulation sim. Arrays have
+    one row per time level."""
 
-    config: RunConfig
-    geom: MeshGeometry
+    sim: Simulation
     times: np.ndarray
     energy: np.ndarray
     elastic: np.ndarray
@@ -150,7 +150,7 @@ class RunResult:
 
     @property
     def mesh(self) -> Mesh:
-        return self.geom.mesh
+        return self.sim.mesh
 
     @property
     def final(self) -> SimulationState:
@@ -160,29 +160,24 @@ class RunResult:
 class Simulation:
     """Precomputed operators for one configuration; states flow through step().
 
-    The MeshGeometry of a preclassified mesh may be handed in to bypass
-    cfg.mesh / cfg.gamma0; it is then used as is (verify_result reuses a
-    run's, tests use it for tiny hand-built meshes).
+    The mesh, the load vector and both constrained systems are built once,
+    here; the RunResult of run() keeps the Simulation for verify_result.
     """
 
-    def __init__(self, cfg: RunConfig, geom: MeshGeometry | None = None):
+    def __init__(self, cfg: RunConfig):
         validate_material(cfg.material)
         self.config = cfg
         self.material = cfg.material
         self.step_params = StepParams.from_material(cfg.material, cfg.tau)
-        if geom is None:
-            mesh = cfg.mesh.build()
-            if cfg.gamma0 == "file":
-                # keep the labels stored in the mesh file
-                if not np.any(mesh.edge_labels == GAMMA0):
-                    raise ValueError("gamma0 = file, but the mesh has no GAMMA0 edges")
-            else:
-                mesh = classify_boundary(mesh, boundary_predicate(cfg.gamma0))
-            geom = MeshGeometry(mesh)
-        elif not np.any(geom.mesh.edge_labels == GAMMA0):
-            raise ValueError("supplied mesh has no Dirichlet (GAMMA0) edges")
-        self.mesh = mesh = geom.mesh
-        self.geom = geom
+        mesh = cfg.mesh.build()
+        if cfg.gamma0 == "file":
+            # keep the labels stored in the mesh file
+            if not np.any(mesh.edge_labels == GAMMA0):
+                raise ValueError("gamma0 = file, but the mesh has no GAMMA0 edges")
+        else:
+            mesh = classify_boundary(mesh, boundary_predicate(cfg.gamma0))
+        self.mesh = mesh
+        self.geom = MeshGeometry(mesh)
 
         self.dirichlet = build_dirichlet(mesh, cfg.bc.g)
         _check_held(mesh, self.dirichlet.nodes)
@@ -290,8 +285,7 @@ class Simulation:
                 pairs[state.k] = (phi_prev, state)
 
         return RunResult(
-            config=cfg,
-            geom=self.geom,
+            sim=self,
             times=times,
             energy=series["energy"],
             elastic=series["elastic"],

@@ -153,13 +153,8 @@ class Stress(NamedTuple):
     sigma: np.ndarray
 
 
-def stress(C: np.ndarray | Lame | Material, e, phi) -> Stress:
-    """Constitutive stress sigma = C (e - phi) with the gap e - phi it acts on.
-
-    C is the elasticity as its matrix isotropic(material), which a step
-    passes precomputed (StepParams.C), or as the Material itself.
-    """
-    if not isinstance(C, np.ndarray):
-        C = isotropic(C)
+def stress(C: np.ndarray, e, phi) -> Stress:
+    """Constitutive stress sigma = C (e - phi) with the gap e - phi it acts on;
+    C is the elasticity matrix isotropic(material), as StepParams.C holds it."""
     gap = np.subtract(e, phi, dtype=float)
     return Stress(gap, gap @ C)

@@ -25,7 +25,7 @@ from scipy.spatial import Delaunay
 from viscofem.config import config_text
 from viscofem.fields import AffineMap, BoundaryData, DirichletSet, strain_field
 from viscofem.mesh import GAMMA1, Mesh
-from viscofem.tensors import stress
+from viscofem.tensors import isotropic, stress
 
 DIM = 2
 
@@ -105,7 +105,7 @@ def apply_C(pair, X) -> np.ndarray:
 
 def stress_of(geom, m, u, phi):
     """The Stress of the state (u, phi) of material m, formed from scratch."""
-    return stress(m, strain_field(geom, u), phi)
+    return stress(isotropic(m), strain_field(geom, u), phi)
 
 
 def to_float(matrix) -> np.ndarray:

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from contextlib import suppress
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from viscofem.cli import main
 from viscofem.mesh import MAX_DIVISIONS, MeshGeometry
 from viscofem import outputs
 from viscofem.outputs import write_outputs
-from viscofem.stepper import Simulation, run
+from viscofem.stepper import MeshSpec, Simulation, run
 
 from oracles import read_vtk, stress_of, write_config
 from test_stepper import BOW_TIE_MESH, PULL, TWO_SQUARES_MESH, make_config
@@ -105,6 +106,25 @@ class TestParsing:
         write_config(cfg, path)
         again = parse_config(path)
         assert config_text(again) == config_text(cfg)
+
+    @pytest.mark.parametrize("value", ["out#1", " out", "out ", "\tout", "a\nb", "a\rb", ""])
+    @pytest.mark.parametrize("section,key", [("output", "directory"), ("mesh", "path")])
+    def test_value_that_would_not_parse_back_rejected(self, section, key, value):
+        cfg = make_config(n=3)
+        if key == "path":
+            cfg = replace(cfg, mesh=MeshSpec(path=value))
+        else:
+            cfg = replace(cfg, outdir=value)
+        with pytest.raises(ValueError, match=re.escape(f"[{section}] {key} = {value!r} cannot")):
+            config_text(cfg)
+
+    @pytest.mark.parametrize("value", ["out", "runs/a b/out", "../x=y", "[out]", "C:\\runs",
+                                       "ünï/çødé", "a;b", "~/out.d"])
+    def test_ordinary_paths_round_trip(self, value):
+        cfg = replace(make_config(n=3), outdir=value)
+        assert parse_config_text(config_text(cfg)).outdir == value
+        cfg = replace(cfg, mesh=MeshSpec(path=value))
+        assert parse_config_text(config_text(cfg)).mesh.path == value
 
     def test_origin_in_errors(self, tmp_path):
         path = tmp_path / "broken.cfg"
@@ -269,7 +289,7 @@ class TestOutputFiles:
             cells = blocks["CELLS"].reshape(m, 4)
             assert np.array_equal(cells, np.column_stack([np.full(m, 3), mesh.triangles]))
             assert np.array_equal(blocks["CELL_TYPES"], np.full(m, 5))
-            sigma = stress_of(geom, small_result.config.material, state.u, state.phi).sigma
+            sigma = stress_of(geom, small_result.sim.config.material, state.u, state.phi).sigma
             for name, values in zip(scalars, np.column_stack([state.phi, sigma]).T):
                 assert np.array_equal(blocks[name], values)
 
@@ -299,7 +319,7 @@ class TestOutputFiles:
             assert alone == tmp_path / name
 
     def test_rerun_is_bit_identical(self, small_result, tmp_path):
-        cfg = small_result.config
+        cfg = small_result.sim.config
         again = Simulation(cfg).run()
         first = tmp_path / "a"
         second = tmp_path / "b"

@@ -1,12 +1,13 @@
 """Diagnostics tests: energy bookkeeping, the per-step identity, the tensor
 update residual, stress norms, and the gradient-flow probe."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import viscofem.stepper
 from viscofem.diagnostics import (
     energy,
     energy_identity_residual,
@@ -23,7 +24,7 @@ from viscofem.assembly import load_vector
 from viscofem.config import preset_config
 from viscofem.fields import AffineMap, BoundaryData, zero_tensor_field
 from viscofem.mesh import MeshGeometry, boundary_predicate, build_unit_square, classify_boundary
-from viscofem.stepper import MeshSpec, Simulation, SimulationState, StepParams
+from viscofem.stepper import MeshSpec, Simulation, SimulationState, StepParams, default_sample_steps
 from viscofem.tensors import Material
 
 from oracles import delaunay_mesh, interpolate, save_mesh, stress_of, zero_displacement
@@ -286,6 +287,40 @@ class TestVerifyResult:
         report = verify_result(result, directions=2)
         assert report.ok, report.messages
         assert report.max_gradient <= 1e-4
+
+    @pytest.mark.parametrize("case", ["example1", "example2", "mesh file"])
+    def test_probes_on_the_runs_own_operators(self, monkeypatch, tmp_path, case):
+        if case == "mesh file":
+            path = tmp_path / "polygon.mesh"
+            save_mesh(classify_boundary(delaunay_mesh(n=5, seed=3), left_arc), path)
+            cfg = replace(make_config(alpha=1.0, f=(0.0, -1.0), t_end=0.05),
+                          mesh=MeshSpec(path=str(path)), gamma0="file")
+        else:
+            cfg = preset_config(case, alpha=1.0)
+            cfg = replace(cfg, mesh=replace(cfg.mesh, n=6), t_end=10 * cfg.tau)
+        result = Simulation(cfg).run(sample_steps=default_sample_steps(cfg.n_steps))
+
+        calls = {"Simulation": 0, "assemble_stiffness": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Simulation, "__init__", counted("Simulation", Simulation.__init__))
+            patched.setattr(viscofem.stepper, "assemble_stiffness",
+                            counted("assemble_stiffness", viscofem.stepper.assemble_stiffness))
+            report = verify_result(result, directions=3, seed=2)
+        assert calls == {"Simulation": 0, "assemble_stiffness": 0}
+
+        # a Simulation built afresh from the configuration gives the same report, bitwise
+        fresh = verify_result(replace(result, sim=Simulation(result.sim.config)),
+                              directions=3, seed=2)
+        assert report.ok, report.messages
+        for f in fields(report):
+            assert repr(getattr(report, f.name)) == repr(getattr(fresh, f.name)), f.name
 
     def test_tampered_energy_is_flagged(self):
         result = self.clean_result()

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import viscofem.stepper
 from viscofem.fields import AffineMap, BoundaryData, strain_field
-from viscofem.diagnostics import stress_components_linf
-from viscofem.mesh import MeshGeometry, build_unit_square, classify_boundary, boundary_predicate, load_mesh
+from viscofem.diagnostics import stress_components_linf, verify_result
+from viscofem.mesh import MeshGeometry, build_unit_square, classify_boundary, boundary_predicate
 from viscofem.stepper import (
     _MAX_STEPS,
     MeshSpec,
@@ -324,11 +325,6 @@ class TestRunBookkeeping:
 
 
 class TestValidation:
-    def test_supplied_mesh_needs_dirichlet_edges(self):
-        cfg = make_config(n=2)
-        with pytest.raises(ValueError, match="GAMMA0"):
-            Simulation(cfg, geom=MeshGeometry(build_unit_square(2)))
-
     def test_file_labels_mode(self, tmp_path):
         labeled = classify_boundary(build_unit_square(3), boundary_predicate("top"))
         path = tmp_path / "labeled.mesh"
@@ -362,15 +358,12 @@ class TestValidation:
         # and its solves pass the backward-error test with energies of 1e16
         path = tmp_path / "loose.mesh"
         path.write_text(text)
-        mesh = load_mesh(path)
         cfg = make_config(t_end=0.02)
         cfg = RunConfig(material=cfg.material, tau=cfg.tau, t_end=cfg.t_end,
                         mesh=MeshSpec(path=str(path)), gamma0="file", bc=cfg.bc,
                         cadence=0)
         with pytest.raises(ValueError, match=re.escape(message)):
             Simulation(cfg)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            Simulation(cfg, geom=MeshGeometry(mesh))
 
     def test_inadmissible_material_rejected(self):
         cfg = make_config(mu=-1.0)
@@ -465,6 +458,20 @@ class TestFactorLifetime:
         assert sim._factor[1] is lu
         equilibrium_solve(sim, state.phi)
         assert sim._factor[0] is sim.system_plain
+
+    def test_second_verify_factors_nothing(self, monkeypatch):
+        cfg = make_config(n=3, gamma0="sides", g=PULL, t_end=0.05)
+        result = Simulation(cfg).run(sample_steps=(1, 5))
+        assert result.sim._factor[0] is result.sim.system_eff
+        calls = []
+        factorize = viscofem.stepper.factorize
+        monkeypatch.setattr(viscofem.stepper, "factorize",
+                            lambda system: calls.append(system) or factorize(system))
+        first = verify_result(result, directions=2)
+        assert calls == [result.sim.system_plain]  # the probes' one factor
+        second = verify_result(result, directions=2)
+        assert len(calls) == 1
+        assert first == second and first.ok
 
 
 class TestEquilibriumPatch:

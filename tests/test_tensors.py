@@ -165,9 +165,6 @@ class TestPinnedValues:
         assert_array_equal(st.gap, e)
         # at phi = e the stress vanishes identically
         assert_allclose(stress(C, e, e).sigma, np.zeros(3), atol=0)
-        # the Material itself stands for its matrix
-        X = np.random.default_rng(4).standard_normal((5, 3))
-        assert_array_equal(stress(UNIT, X, 0.5 * X).sigma, stress(C, X, 0.5 * X).sigma)
 
     def test_c_inner_uniaxial(self):
         e = np.array([1.0, 0.0, 0.0])
