@@ -9,7 +9,7 @@ from .config import ConfigError, config_text, parse_config, preset_config
 from .diagnostics import verify_result
 from .mesh import MeshFormatError
 from .outputs import write_outputs
-from .stepper import Simulation, SolverError, default_sample_steps, run
+from .stepper import Simulation, SolverError, default_sample_steps
 
 __all__ = [
     "ConfigError",
@@ -20,7 +20,6 @@ __all__ = [
     "default_sample_steps",
     "parse_config",
     "preset_config",
-    "run",
     "verify_result",
     "write_outputs",
 ]

@@ -24,7 +24,7 @@ from dataclasses import replace
 from . import diagnostics, outputs
 from .config import ConfigError, config_text, parse_config, preset_config
 from .mesh import MeshFormatError
-from .stepper import SolverError, default_sample_steps, run
+from .stepper import Simulation, SolverError, default_sample_steps
 
 
 def main(argv=None) -> int:
@@ -73,7 +73,7 @@ def _cmd_solve(args) -> int:
         cfg = replace(cfg, outdir=args.out)
 
     sample = default_sample_steps(cfg.n_steps) if args.verify else ()
-    result = run(cfg, sample_steps=sample)
+    result = Simulation(cfg).run(sample_steps=sample)
     paths = outputs.write_outputs(result, cfg.outdir)
 
     print(f"ran {cfg.n_steps} steps of tau={cfg.tau!r} "

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import AffineMap, BoundaryData
-from .mesh import BOUNDARY_REGIONS, MAX_DIVISIONS, PATTERNS
+from .mesh import GAMMA0_CHOICES, MAX_DIVISIONS, PATTERNS
 from .stepper import MeshSpec, RunConfig, count_steps
 from .tensors import Material, validate_material
 
@@ -200,9 +200,8 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         mesh = MeshSpec(n=n, pattern=pattern)
 
     gamma0, g0_line = take("bc", "gamma0")
-    allowed_gamma0 = BOUNDARY_REGIONS + ("file",)
-    if gamma0 not in allowed_gamma0:
-        fail(g0_line, f"'gamma0' must be one of {', '.join(allowed_gamma0)}, got {gamma0!r}")
+    if gamma0 not in GAMMA0_CHOICES:
+        fail(g0_line, f"'gamma0' must be one of {', '.join(GAMMA0_CHOICES)}, got {gamma0!r}")
     if gamma0 == "file" and mesh.path is None:
         fail(g0_line, "gamma0 = file requires a mesh loaded from 'path'")
     bc = BoundaryData(

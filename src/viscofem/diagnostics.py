@@ -33,9 +33,10 @@ forms G with one constrained solve, once per pair, for all its directions.
 The per-state checks (energy, scheme_residual, the energy identity,
 stress_components_linf) take the Stress of a state, tensors.stress(C, e,
 phi) with e the strain of its displacement, instead of recomputing it: a
-driver, and the stepper, forms it once per state. Each check reads its
-fields directly, so a broken tensor update shows in the scheme residual
-whatever produced it.
+driver, and the stepper, forms it once per state, and the probes take the
+one stepper.equilibrium_solve returns. Each check reads its fields
+directly, so a broken tensor update shows in the scheme residual whatever
+produced it.
 
 verify_result probes on the run's own Simulation, result.sim: the pairs
 the steps produced on the condensed system meet derivatives of E* solved
@@ -51,9 +52,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import strain_field
 from .mesh import MeshGeometry
-from .tensors import DDOT_WEIGHTS, Material, Stress, stress
+from .tensors import DDOT_WEIGHTS, Material, Stress
 
 # The central-difference step of gradient_flow_check (E* is quadratic in phi,
 # so the difference is exact up to roundoff) and verify_result's gates.
@@ -142,7 +142,6 @@ def stress_components_linf(sigma) -> np.ndarray:
 class GradientFlowCheck:
     flow_error: float        # |eta (dphi, psi) + dE*[psi]| relative
     derivative_error: float  # closed-form derivative vs central difference
-    central_difference: float
 
 
 def random_direction(geom: MeshGeometry, rng) -> np.ndarray:
@@ -156,9 +155,8 @@ def reduced_gradient(sim, phi) -> np.ndarray:
     from one constrained solve on sim.system_plain."""
     from .stepper import equilibrium_solve  # deferred to avoid a module cycle
 
-    u, _ = equilibrium_solve(sim, phi)
-    sigma = stress(sim.step_params.C, strain_field(sim.geom, u), phi).sigma
-    return sim.material.alpha * np.asarray(phi) - sigma
+    _, st, _ = equilibrium_solve(sim, phi)
+    return sim.material.alpha * np.asarray(phi) - st.sigma
 
 
 def gradient_flow_check(sim, phi, phi_prev, gradient, direction) -> GradientFlowCheck:
@@ -170,13 +168,12 @@ def gradient_flow_check(sim, phi, phi_prev, gradient, direction) -> GradientFlow
     """
     from .stepper import equilibrium_solve  # deferred to avoid a module cycle
 
-    geom, m, C = sim.geom, sim.material, sim.step_params.C
+    geom = sim.geom
     psi = np.asarray(direction, dtype=float)
 
     def reduced_energy(tensor_field):
-        u, _ = equilibrium_solve(sim, tensor_field)
-        st = stress(C, strain_field(geom, u), tensor_field)
-        return energy(geom, m, u, tensor_field, st, sim.load).total
+        u, st, _ = equilibrium_solve(sim, tensor_field)
+        return energy(geom, sim.material, u, tensor_field, st, sim.load).total
 
     e_plus = reduced_energy(phi + _EPS * psi)
     e_minus = reduced_energy(phi - _EPS * psi)
@@ -189,7 +186,6 @@ def gradient_flow_check(sim, phi, phi_prev, gradient, direction) -> GradientFlow
     return GradientFlowCheck(
         flow_error=abs(flow_lhs + cd) / denom,
         derivative_error=abs(derivative - cd) / denom,
-        central_difference=cd,
     )
 
 

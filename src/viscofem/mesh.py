@@ -6,9 +6,11 @@ them from there, and validation checks a loaded boundary list against them.
 
 Boundary edges carry one of two labels: GAMMA0 marks the Dirichlet part of
 the boundary (displacement prescribed), GAMMA1 the traction part. A mesh is
-built with every edge labeled GAMMA1 and must be classified before use;
-classification decides per edge from its midpoint, which is unambiguous for
-the axis-aligned boundaries used here.
+built with every edge labeled GAMMA1, a loaded one with the labels of its
+file. classify_boundary is the one place that decides the Dirichlet part
+from a run's gamma0: a named side of the unit square is one mask over the
+edge midpoints, exact for its axis-aligned sides, and "file" keeps the
+loaded labels.
 
 The text format mirrors the in-memory layout, 0-based indices throughout:
 
@@ -148,49 +150,38 @@ def edge_groups(mesh: Mesh) -> np.ndarray:
             group = group[group]
 
 
-def classify_boundary(mesh: Mesh, predicate) -> Mesh:
-    """Relabel boundary edges by evaluating predicate at edge midpoints.
-
-    predicate maps a midpoint (2-array) to GAMMA0 or GAMMA1. At least one
-    edge must come out GAMMA0, otherwise the Dirichlet problem is empty.
-    """
-    labels = np.array([predicate(mid) for mid in mesh.edge_midpoints()], dtype=np.int64)
-    bad = ~np.isin(labels, (GAMMA0, GAMMA1))
-    if np.any(bad):
-        raise ValueError(
-            f"predicate returned {labels[bad][0]} at edge {int(np.flatnonzero(bad)[0])}, "
-            f"expected GAMMA0 ({GAMMA0}) or GAMMA1 ({GAMMA1})"
-        )
-    if not np.any(labels == GAMMA0):
-        raise ValueError("classification produced zero Dirichlet (GAMMA0) edges")
-    return replace(mesh, edge_labels=labels)
-
-
-# Named Dirichlet regions of the unit square, evaluated at edge midpoints.
-# A midpoint sits strictly inside its edge, so equality against 0 or 1
-# identifies the side without a tolerance.
+# Named Dirichlet regions of the unit square, as masks over the (n_edges, 2)
+# array of edge midpoints. A midpoint sits strictly inside its edge, so
+# equality against 0 or 1 identifies the side without a tolerance.
 _REGIONS = {
-    "bottom": lambda p: p[1] == 0.0,
-    "top": lambda p: p[1] == 1.0,
-    "left": lambda p: p[0] == 0.0,
-    "right": lambda p: p[0] == 1.0,
-    "sides": lambda p: p[0] == 0.0 or p[0] == 1.0,
-    "all": lambda p: True,
+    "bottom": lambda p: p[:, 1] == 0.0,
+    "top": lambda p: p[:, 1] == 1.0,
+    "left": lambda p: p[:, 0] == 0.0,
+    "right": lambda p: p[:, 0] == 1.0,
+    "sides": lambda p: (p[:, 0] == 0.0) | (p[:, 0] == 1.0),
+    "all": lambda p: np.ones(len(p), dtype=bool),
 }
 
+# the gamma0 values classify_boundary takes: a region, or "file" to keep the
+# labels stored in a mesh file
+GAMMA0_CHOICES = (*sorted(_REGIONS), "file")
 
-BOUNDARY_REGIONS = tuple(sorted(_REGIONS))
 
+def classify_boundary(mesh: Mesh, gamma0: str) -> Mesh:
+    """The mesh with its boundary labeled by gamma0, one of GAMMA0_CHOICES.
 
-def boundary_predicate(region: str):
-    """Midpoint -> label predicate for a named side of the unit square."""
-    try:
-        inside = _REGIONS[region]
-    except KeyError:
-        raise ValueError(
-            f"unknown boundary region {region!r}, expected one of {', '.join(sorted(_REGIONS))}"
-        ) from None
-    return lambda p: GAMMA0 if inside(p) else GAMMA1
+    A region labels the edges whose midpoints lie on it GAMMA0 and all
+    others GAMMA1; "file" keeps the mesh's own labels. At least one edge
+    must be GAMMA0, otherwise the Dirichlet problem is empty.
+    """
+    if gamma0 not in GAMMA0_CHOICES:
+        raise ValueError(f"unknown gamma0 {gamma0!r}, expected one of {', '.join(GAMMA0_CHOICES)}")
+    if gamma0 != "file":
+        inside = _REGIONS[gamma0](mesh.edge_midpoints())
+        mesh = replace(mesh, edge_labels=np.where(inside, GAMMA0, GAMMA1))
+    if not np.any(mesh.edge_labels == GAMMA0):
+        raise ValueError(f"gamma0 = {gamma0} gives zero Dirichlet (GAMMA0) edges")
+    return mesh
 
 
 class MeshGeometry:

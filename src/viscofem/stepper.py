@@ -15,17 +15,22 @@ the balance equation recovers the coupled implicit system exactly, so the
 pair (u^k, phi^k) satisfies both equations to solver tolerance;
 scheme_residual tracks that per step.
 
-The displacement matrices and the load vector are constant in time, so a
-Simulation assembles the stiffness once and keeps the two constrained
-systems built from it: the plain one (C) for equilibrium solves and the
-condensed one (C_eff) for the steps. It factors a system on its first
-solve and keeps that one factor until another system is solved: a run
-factors the plain system for the initial state, then the condensed one
-for the steps, and never holds two factors.
+A Simulation decides the Dirichlet boundary once, by classify_boundary with
+the run's gamma0, and builds the Dirichlet set from it. The displacement
+matrices and the load vector are constant in time, so it assembles the
+stiffness once and keeps the two constrained systems built from it: the
+plain one (C) for equilibrium solves and the condensed one (C_eff) for the
+steps. Their constrained rows and columns are unit and the factor does no
+row pivoting, so every solve returns the prescribed values at the
+Dirichlet nodes exactly; nothing writes them afterwards. It factors a
+system on its first solve and keeps that one factor until another system
+is solved: a run factors the plain system for the initial state, then the
+condensed one for the steps, and never holds two factors.
 
 Each field of a state is computed once. A step computes the strain e of
 the new displacement, the update phi from it, and the new state's Stress
-(the gap e - phi and sigma = C (e - phi), tensors.stress) once; the energy
+(the gap e - phi and sigma = C (e - phi), tensors.stress) once; an
+equilibrium solve returns the Stress of the state it solves for. The energy
 split, the scheme residual, the energy identity and the stress maxima are
 the diagnostics functions called on those arrays. The identity also needs
 the Stress of the previous state: a Simulation remembers the Stress of the
@@ -48,8 +53,8 @@ import numpy as np
 from . import diagnostics
 from .assembly import SparseSPD, assemble_stiffness, load_vector, tensor_load
 from .fields import BoundaryData, build_dirichlet, strain_field, zero_tensor_field
-from .mesh import (GAMMA0, Mesh, MeshGeometry, boundary_predicate, build_unit_square,
-                   classify_boundary, edge_groups, load_mesh)
+from .mesh import (Mesh, MeshGeometry, build_unit_square, classify_boundary, edge_groups,
+                   load_mesh)
 from .solver import SolveReport, SolverError, factorize, solve_spd
 from .tensors import Material, Stress, StepParams, stress, validate_material
 
@@ -68,7 +73,6 @@ class SimulationState:
 @dataclass(frozen=True)
 class StepReport:
     backward_error: float   # of the displacement solve
-    residual: float
     scheme_residual: float
     identity_residual: float
     energy: diagnostics.EnergyReport
@@ -160,8 +164,10 @@ class RunResult:
 class Simulation:
     """Precomputed operators for one configuration; states flow through step().
 
-    The mesh, the load vector and both constrained systems are built once,
-    here; the RunResult of run() keeps the Simulation for verify_result.
+    The classified mesh, the Dirichlet set, the load vector and both
+    constrained systems are built once, here. run(sample_steps) drives a
+    whole run, as the CLI does; its RunResult keeps the Simulation for
+    verify_result.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -169,13 +175,7 @@ class Simulation:
         self.config = cfg
         self.material = cfg.material
         self.step_params = StepParams.from_material(cfg.material, cfg.tau)
-        mesh = cfg.mesh.build()
-        if cfg.gamma0 == "file":
-            # keep the labels stored in the mesh file
-            if not np.any(mesh.edge_labels == GAMMA0):
-                raise ValueError("gamma0 = file, but the mesh has no GAMMA0 edges")
-        else:
-            mesh = classify_boundary(mesh, boundary_predicate(cfg.gamma0))
+        mesh = classify_boundary(cfg.mesh.build(), cfg.gamma0)
         self.mesh = mesh
         self.geom = MeshGeometry(mesh)
 
@@ -196,9 +196,7 @@ class Simulation:
         if not rep.converged:
             raise SolverError(f"{what} failed: backward error {rep.backward_error:.3e}, "
                               f"residual {rep.residual:.3e}")
-        u = x.reshape(-1, 2)
-        u[self.dirichlet.nodes] = self.dirichlet.values
-        return u, rep
+        return x.reshape(-1, 2), rep
 
     def _stress_of(self, state: SimulationState) -> Stress:
         """Stress of state, remembered when state is the last one produced."""
@@ -216,12 +214,11 @@ class Simulation:
             t, c = bad[0]
             raise ValueError(f"phi0 is not finite at triangle {t}, component "
                              f"{('xx', 'yy', 'xy')[c]}: {phi[t, c]}")
-        u, rep = equilibrium_solve(self, phi)
-        st = stress(self.step_params.C, strain_field(self.geom, u), phi)
+        u, st, rep = equilibrium_solve(self, phi)
         report = diagnostics.energy(self.geom, self.material, u, phi, st, self.load)
         state = SimulationState(k=0, t=0.0, u=u, phi=phi, energy=report.total)
         self._last = (state, st)
-        return state, StepReport(rep.backward_error, rep.residual, 0.0, 0.0, report,
+        return state, StepReport(rep.backward_error, 0.0, 0.0, report,
                                  diagnostics.stress_components_linf(st.sigma))
 
     def step(self, state: SimulationState) -> tuple[SimulationState, StepReport]:
@@ -240,7 +237,6 @@ class Simulation:
         self._last = (new, st)
         return new, StepReport(
             backward_error=rep.backward_error,
-            residual=rep.residual,
             scheme_residual=diagnostics.scheme_residual(m, sp, phi, state.phi, st.sigma),
             identity_residual=diagnostics.energy_identity_residual(
                 self.geom, m, sp.tau, state, new, st_prev, st),
@@ -305,21 +301,18 @@ def default_sample_steps(n_steps: int) -> tuple[int, ...]:
     return tuple(sorted({max(1, n_steps // 10), max(1, n_steps // 2), n_steps}))
 
 
-def run(cfg: RunConfig, sample_steps=None) -> RunResult:
-    sim = Simulation(cfg)
-    if sample_steps is None:
-        sample_steps = default_sample_steps(cfg.n_steps)
-    return sim.run(sample_steps=sample_steps)
-
-
-def equilibrium_solve(sim: Simulation, phi) -> tuple[np.ndarray, SolveReport]:
-    """Displacement minimizing the energy at a frozen tensor field phi.
+def equilibrium_solve(sim: Simulation, phi) -> tuple[np.ndarray, Stress, SolveReport]:
+    """Displacement minimizing the energy at a frozen tensor field phi, and
+    the Stress of the state (u, phi).
 
     Solves the plain system of sim with the right-hand side (C phi, e[v]) +
     l(v). The initial state and the gradient-flow probes use it.
     """
-    rhs = tensor_load(sim.geom, np.asarray(phi, dtype=float) @ sim.step_params.C) + sim.load
-    return sim._solve(sim.system_plain, rhs, "equilibrium solve")
+    C = sim.step_params.C
+    phi = np.asarray(phi, dtype=float)
+    u, rep = sim._solve(sim.system_plain, tensor_load(sim.geom, phi @ C) + sim.load,
+                        "equilibrium solve")
+    return u, stress(C, strain_field(sim.geom, u), phi), rep
 
 
 def _check_held(mesh: Mesh, dirichlet_nodes: np.ndarray) -> None:

@@ -16,6 +16,8 @@ yy, xy) coordinates by
      [0,          0,          2 mu]]
 """
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import scipy.sparse as sparse
@@ -24,7 +26,7 @@ from scipy.spatial import Delaunay
 
 from viscofem.config import config_text
 from viscofem.fields import AffineMap, BoundaryData, DirichletSet, strain_field
-from viscofem.mesh import GAMMA1, Mesh
+from viscofem.mesh import GAMMA0, GAMMA1, Mesh
 from viscofem.tensors import isotropic, stress
 
 DIM = 2
@@ -347,6 +349,14 @@ def delaunay_mesh(n=6, seed=0) -> Mesh:
     edges = dt.convex_hull.astype(np.int64)
     return Mesh(nodes=nodes, triangles=triangles, edges=edges,
                 edge_labels=np.full(len(edges), GAMMA1, dtype=np.int64))
+
+
+def left_arc(mesh) -> Mesh:
+    """mesh with the boundary edges whose midpoints lie left of x = -0.5
+    labeled GAMMA0 and the others GAMMA1: a Dirichlet part of the
+    delaunay_mesh polygon, which no named side of the unit square labels."""
+    inside = mesh.edge_midpoints()[:, 0] < -0.5
+    return replace(mesh, edge_labels=np.where(inside, GAMMA0, GAMMA1))
 
 
 # Per-cell and per-vertex loops that the vectorized mesh build and load

@@ -25,7 +25,7 @@ import pytest
 from viscofem.config import preset_config
 from viscofem.diagnostics import verify_result
 from viscofem.fields import AffineMap, BoundaryData
-from viscofem.stepper import MeshSpec, RunConfig, Simulation, run
+from viscofem.stepper import MeshSpec, RunConfig, Simulation
 from viscofem.tensors import Material
 
 from oracles import interpolate, monolithic_step, stress_of
@@ -147,7 +147,7 @@ def test_criterion_5_relaxation_asymptotes(example_run):
 
     cell = {}
     for alpha, target in ((1.0, 11.0 / 15.0), (2.0, 7.0 / 6.0)):
-        result = run(single_cell_config(alpha), sample_steps=())
+        result = Simulation(single_cell_config(alpha)).run()
         cell[alpha] = abs(float(result.sigma_linf[-1, 0]) - target)
 
     zero_ok = abs(means[0.0]) <= 0.05

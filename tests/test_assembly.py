@@ -25,11 +25,11 @@ from oracles import (
     dense_spd_solve,
     effective_matrix,
     interpolate,
+    left_arc,
     loop_load_vector,
     loop_tensor_load,
     to_float,
 )
-from test_mesh import sides, top
 
 UNIT = Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0)
 
@@ -37,10 +37,6 @@ UNIT = Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0)
 def stiffness_matrix(geom, pair):
     """Unconstrained stiffness of a Lame pair."""
     return as_csr(assemble_stiffness(geom, NO_DIRICHLET).system(pair))
-
-
-def left_arc(p):
-    return GAMMA0 if p[0] < -0.5 else GAMMA1
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +168,9 @@ class TestStiffnessProperties:
     @pytest.mark.parametrize("pattern", ["right", "alternating", "unstructured"])
     def test_exact_symmetry(self, pattern):
         if pattern == "unstructured":
-            mesh = classify_boundary(delaunay_mesh(n=6, seed=2), left_arc)
+            mesh = left_arc(delaunay_mesh(n=6, seed=2))
         else:
-            mesh = classify_boundary(build_unit_square(5, pattern=pattern), top)
+            mesh = classify_boundary(build_unit_square(5, pattern=pattern), "top")
         geom = MeshGeometry(mesh)
         ds = build_dirichlet(mesh, AffineMap.zero())
         for pair in (UNIT, StepParams.from_material(UNIT, tau=0.01).condensed):
@@ -205,7 +201,7 @@ class TestStiffnessProperties:
 class TestLoads:
     def test_body_force_total(self):
         # sum of the f-load equals f times the mesh area, per component
-        mesh = classify_boundary(build_unit_square(6), top)
+        mesh = classify_boundary(build_unit_square(6), "top")
         geom = MeshGeometry(mesh)
         bd = BoundaryData(g=AffineMap.zero(), q=[0.0, 0.0], f=[0.4, -1.0])
         rhs = load_vector(geom, bd)
@@ -215,8 +211,8 @@ class TestLoads:
     def test_traction_total_on_gamma1(self):
         # top edge Dirichlet, traction acts on the remaining three sides;
         # on the 24-gon every GAMMA1 side is 2 sin(pi / 24) long
-        square = classify_boundary(build_unit_square(5), top)
-        polygon = classify_boundary(delaunay_mesh(n=6, seed=4), left_arc)
+        square = classify_boundary(build_unit_square(5), "top")
+        polygon = left_arc(delaunay_mesh(n=6, seed=4))
         side = 2.0 * np.sin(np.pi / 24)
         for mesh, length in ((square, 3.0), (polygon, side * np.sum(polygon.edge_labels == GAMMA1))):
             geom = MeshGeometry(mesh)
@@ -229,9 +225,9 @@ class TestLoads:
         # the same sums in the same order: bitwise equal
         rng = np.random.default_rng(33)
         for mesh in (
-            classify_boundary(build_unit_square(5, pattern="right"), top),
-            classify_boundary(build_unit_square(6), sides),
-            classify_boundary(delaunay_mesh(n=6, seed=5), left_arc),
+            classify_boundary(build_unit_square(5, pattern="right"), "top"),
+            classify_boundary(build_unit_square(6), "sides"),
+            left_arc(delaunay_mesh(n=6, seed=5)),
         ):
             geom = MeshGeometry(mesh)
             bd = BoundaryData(g=AffineMap.zero(), q=rng.standard_normal(2), f=rng.standard_normal(2))
@@ -242,7 +238,7 @@ class TestLoads:
     def test_load_pairs_exactly_with_affine_fields(self):
         # (f, v) for affine v: exact because the vertex rule integrates P1
         rng = np.random.default_rng(31)
-        mesh = classify_boundary(build_unit_square(4), sides)
+        mesh = classify_boundary(build_unit_square(4), "sides")
         geom = MeshGeometry(mesh)
         f = rng.standard_normal(2)
         bd = BoundaryData(g=AffineMap.zero(), q=[0.0, 0.0], f=f)
@@ -277,25 +273,25 @@ class TestDirichletElimination:
         return geom, ds, assemble_stiffness(geom, ds).system(UNIT)
 
     def test_all_constrained_gives_identity(self):
-        mesh = classify_boundary(build_unit_square(1, pattern="right"), lambda p: GAMMA0)
+        mesh = classify_boundary(build_unit_square(1, pattern="right"), "all")
         geom, _, system = self.constrained(mesh)
         assert_allclose(as_csr(system).toarray(), np.eye(geom.n_dofs), atol=0)
         assert_allclose(system.reduce_rhs(np.ones(geom.n_dofs)), 0.0, atol=0)
 
     def test_prescribed_values_enter_solution(self):
-        mesh = classify_boundary(build_unit_square(2), sides)
+        mesh = classify_boundary(build_unit_square(2), "sides")
         geom, ds, system = self.constrained(mesh, AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0]))
         x = dense_spd_solve(as_csr(system).toarray(), system.reduce_rhs(np.zeros(geom.n_dofs)))
         assert_allclose(x[ds.dofs], ds.flat_values, atol=1e-13)
 
     def test_reduced_matrix_spd_and_symmetric(self):
-        _, _, system = self.constrained(classify_boundary(build_unit_square(3), top))
+        _, _, system = self.constrained(classify_boundary(build_unit_square(3), "top"))
         dense = as_csr(system).toarray()
         assert_allclose(dense, dense.T, atol=0)
         assert np.linalg.eigvalsh(dense).min() > 0.0
 
     def test_rows_and_columns_cleared(self):
-        geom, ds, system = self.constrained(classify_boundary(build_unit_square(2), top))
+        geom, ds, system = self.constrained(classify_boundary(build_unit_square(2), "top"))
         dense = as_csr(system).toarray()
         free = np.setdiff1d(np.arange(geom.n_dofs), ds.dofs)
         assert_allclose(dense[np.ix_(ds.dofs, free)], 0.0, atol=0)
@@ -307,7 +303,7 @@ class TestDirichletElimination:
 
     def test_column_action_moves_lift_to_rhs(self):
         rng = np.random.default_rng(34)
-        mesh = classify_boundary(build_unit_square(2), sides)
+        mesh = classify_boundary(build_unit_square(2), "sides")
         g = AffineMap([[0.5, 0.0], [0.0, -0.2]], [0.1, 0.0])
         geom, ds, system = self.constrained(mesh, g)
         raw = rng.standard_normal(geom.n_dofs)
@@ -324,7 +320,7 @@ class TestDirichletElimination:
 
     def test_patch_solution_matches_dense_oracle(self):
         # full Dirichlet with affine data reproduces the affine field exactly
-        mesh = classify_boundary(build_unit_square(3), lambda p: GAMMA0)
+        mesh = classify_boundary(build_unit_square(3), "all")
         g = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
         geom, _, system = self.constrained(mesh, g)
         bd = BoundaryData(g=g, q=[0.0, 0.0], f=[0.0, 0.0])

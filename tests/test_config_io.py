@@ -22,7 +22,7 @@ from viscofem.cli import main
 from viscofem.mesh import MAX_DIVISIONS, MeshGeometry
 from viscofem import outputs
 from viscofem.outputs import write_outputs
-from viscofem.stepper import MeshSpec, Simulation, run
+from viscofem.stepper import MeshSpec, Simulation
 
 from oracles import read_vtk, stress_of, write_config
 from test_stepper import BOW_TIE_MESH, PULL, TWO_SQUARES_MESH, make_config

@@ -23,12 +23,11 @@ from viscofem.diagnostics import (
 from viscofem.assembly import load_vector
 from viscofem.config import preset_config
 from viscofem.fields import AffineMap, BoundaryData, zero_tensor_field
-from viscofem.mesh import MeshGeometry, boundary_predicate, build_unit_square, classify_boundary
+from viscofem.mesh import MeshGeometry, build_unit_square, classify_boundary
 from viscofem.stepper import MeshSpec, Simulation, SimulationState, StepParams, default_sample_steps
 from viscofem.tensors import Material
 
-from oracles import delaunay_mesh, interpolate, save_mesh, stress_of, zero_displacement
-from test_assembly import left_arc
+from oracles import delaunay_mesh, interpolate, left_arc, save_mesh, stress_of, zero_displacement
 from test_stepper import PULL, make_config
 
 UNIT = Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0)
@@ -36,7 +35,7 @@ NO_LOAD = BoundaryData(g=AffineMap.zero(), q=[0.0, 0.0], f=[0.0, 0.0])
 
 
 def unit_square_geometry(n=4):
-    mesh = classify_boundary(build_unit_square(n), boundary_predicate("all"))
+    mesh = classify_boundary(build_unit_square(n), "all")
     return mesh, MeshGeometry(mesh)
 
 
@@ -277,7 +276,7 @@ class TestVerifyResult:
     def test_mesh_file_run_passes(self, tmp_path):
         # an unstructured polygon, not the unit square, read from a file
         # with its own labels: verify's Simulation runs on the run's mesh
-        mesh = classify_boundary(delaunay_mesh(n=5, seed=3), left_arc)
+        mesh = left_arc(delaunay_mesh(n=5, seed=3))
         path = tmp_path / "polygon.mesh"
         save_mesh(mesh, path)
         cfg = replace(make_config(alpha=1.0, f=(0.0, -1.0), t_end=0.05),
@@ -292,7 +291,7 @@ class TestVerifyResult:
     def test_probes_on_the_runs_own_operators(self, monkeypatch, tmp_path, case):
         if case == "mesh file":
             path = tmp_path / "polygon.mesh"
-            save_mesh(classify_boundary(delaunay_mesh(n=5, seed=3), left_arc), path)
+            save_mesh(left_arc(delaunay_mesh(n=5, seed=3)), path)
             cfg = replace(make_config(alpha=1.0, f=(0.0, -1.0), t_end=0.05),
                           mesh=MeshSpec(path=str(path)), gamma0="file")
         else:

@@ -22,7 +22,6 @@ from viscofem.mesh import (
 )
 
 from oracles import homogeneous_data, interpolate, zero_displacement
-from test_mesh import sides, top
 
 
 class TestStrain:
@@ -56,20 +55,20 @@ class TestStrain:
 
 class TestDirichlet:
     def test_top_closure_node_count(self):
-        mesh = classify_boundary(build_unit_square(40), top)
+        mesh = classify_boundary(build_unit_square(40), "top")
         ds = build_dirichlet(mesh, AffineMap.zero())
         assert len(ds.nodes) == 41
         assert_allclose(mesh.nodes[ds.nodes, 1], 1.0)
         assert_allclose(ds.values, 0.0)
 
     def test_sides_closure_node_count(self):
-        mesh = classify_boundary(build_unit_square(40), sides)
+        mesh = classify_boundary(build_unit_square(40), "sides")
         ds = build_dirichlet(mesh, AffineMap.zero())
         assert len(ds.nodes) == 82
 
     def test_corners_belong_to_closure(self):
         # the four corners sit on both a GAMMA0 and a GAMMA1 edge for `sides`
-        mesh = classify_boundary(build_unit_square(4), sides)
+        mesh = classify_boundary(build_unit_square(4), "sides")
         ds = build_dirichlet(mesh, AffineMap.zero())
         corner_ids = [
             int(np.flatnonzero((mesh.nodes == c).all(axis=1))[0])
@@ -78,14 +77,14 @@ class TestDirichlet:
         assert set(corner_ids) <= set(ds.nodes.tolist())
 
     def test_values_follow_g(self):
-        mesh = classify_boundary(build_unit_square(8), sides)
+        mesh = classify_boundary(build_unit_square(8), "sides")
         g = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
         ds = build_dirichlet(mesh, g)
         assert_allclose(ds.values[:, 0], mesh.nodes[ds.nodes, 0], atol=0)
         assert_allclose(ds.values[:, 1], 0.0, atol=0)
 
     def test_dof_layout_interleaved(self):
-        mesh = classify_boundary(build_unit_square(2), top)
+        mesh = classify_boundary(build_unit_square(2), "top")
         ds = build_dirichlet(mesh, AffineMap.zero())
         assert np.array_equal(ds.dofs[0::2], 2 * ds.nodes)
         assert np.array_equal(ds.dofs[1::2], 2 * ds.nodes + 1)
@@ -96,7 +95,7 @@ class TestDirichlet:
             build_dirichlet(build_unit_square(3), AffineMap.zero())
 
     def test_independent_of_triangle_order(self):
-        mesh = classify_boundary(build_unit_square(5), sides)
+        mesh = classify_boundary(build_unit_square(5), "sides")
         perm = np.random.default_rng(23).permutation(mesh.n_triangles)
         shuffled = Mesh(
             nodes=mesh.nodes,
@@ -134,5 +133,5 @@ class TestData:
         assert zero_tensor_field(mesh).shape == (mesh.n_triangles, 3)
 
     def test_labels_unused_are_preserved(self):
-        mesh = classify_boundary(build_unit_square(2), top)
+        mesh = classify_boundary(build_unit_square(2), "top")
         assert set(np.unique(mesh.edge_labels)) == {GAMMA0, GAMMA1}

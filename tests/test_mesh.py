@@ -1,5 +1,6 @@
 """Mesh construction, classification, geometry and text format tests."""
 
+import dataclasses
 import re
 import warnings
 from contextlib import suppress
@@ -24,18 +25,6 @@ from viscofem.mesh import (
 
 from oracles import (delaunay_mesh, gradients, loop_edge_groups, loop_unit_square_triangles,
                      save_mesh)
-
-
-def top(p):
-    return GAMMA0 if p[1] > 1.0 - 1e-9 else GAMMA1
-
-
-def sides(p):
-    return GAMMA0 if (p[0] < 1e-9 or p[0] > 1.0 - 1e-9) else GAMMA1
-
-
-def everywhere(p):
-    return GAMMA0
 
 
 def one_triangle(points) -> Mesh:
@@ -160,36 +149,52 @@ class TestEdgeGroups:
 
 class TestClassify:
     def test_top_counts(self):
-        mesh = classify_boundary(build_unit_square(40), top)
+        mesh = classify_boundary(build_unit_square(40), "top")
         assert int(np.sum(mesh.edge_labels == GAMMA0)) == 40
         assert int(np.sum(mesh.edge_labels == GAMMA1)) == 120
 
     def test_sides_counts(self):
-        mesh = classify_boundary(build_unit_square(40), sides)
+        mesh = classify_boundary(build_unit_square(40), "sides")
         assert int(np.sum(mesh.edge_labels == GAMMA0)) == 80
         assert int(np.sum(mesh.edge_labels == GAMMA1)) == 80
 
     def test_full_dirichlet_allowed(self):
-        mesh = classify_boundary(build_unit_square(4), everywhere)
+        mesh = classify_boundary(build_unit_square(4), "all")
         assert np.all(mesh.edge_labels == GAMMA0)
 
     def test_labels_follow_midpoints(self):
-        mesh = classify_boundary(build_unit_square(6), top)
-        mids = mesh.edge_midpoints()
-        assert np.all((mids[mesh.edge_labels == GAMMA0, 1]) == 1.0)
-        assert np.all((mids[mesh.edge_labels == GAMMA1, 1]) < 1.0)
+        # each edge alone, against the side its midpoint lies on
+        on = {"bottom": lambda x, y: y == 0.0, "top": lambda x, y: y == 1.0,
+              "left": lambda x, y: x == 0.0, "right": lambda x, y: x == 1.0,
+              "sides": lambda x, y: x in (0.0, 1.0), "all": lambda x, y: True}
+        for n in (1, 3, 40):
+            for region, inside in on.items():
+                mesh = classify_boundary(build_unit_square(n, pattern="right"), region)
+                expected = [GAMMA0 if inside(x, y) else GAMMA1 for x, y in mesh.edge_midpoints()]
+                assert mesh.edge_labels.tolist() == expected, (region, n)
 
     def test_rejects_empty_dirichlet(self):
-        with pytest.raises(ValueError, match="zero Dirichlet"):
-            classify_boundary(build_unit_square(3), lambda p: GAMMA1)
+        # the square (2, 3)^2 has no edge on y = 0
+        mesh = build_unit_square(3)
+        shifted = Mesh(mesh.nodes + 2.0, mesh.triangles, mesh.edges, mesh.edge_labels)
+        with pytest.raises(ValueError, match="gamma0 = bottom gives zero Dirichlet"):
+            classify_boundary(shifted, "bottom")
 
-    def test_rejects_bad_label(self):
-        with pytest.raises(ValueError, match="expected GAMMA0"):
-            classify_boundary(build_unit_square(3), lambda p: 7)
+    def test_file_keeps_the_stored_labels(self):
+        labels = np.tile([GAMMA0, GAMMA1, GAMMA1], 4)
+        mesh = dataclasses.replace(build_unit_square(3), edge_labels=labels)
+        assert classify_boundary(mesh, "file") is mesh
+        with pytest.raises(ValueError, match="gamma0 = file gives zero Dirichlet"):
+            classify_boundary(build_unit_square(3), "file")
+
+    def test_rejects_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown gamma0 'middle', expected one of all, "
+                                             "bottom, left, right, sides, top, file"):
+            classify_boundary(build_unit_square(3), "middle")
 
     def test_original_mesh_untouched(self):
         mesh = build_unit_square(3)
-        classified = classify_boundary(mesh, top)
+        classified = classify_boundary(mesh, "top")
         assert np.all(mesh.edge_labels == GAMMA1)
         assert classified is not mesh
 
@@ -243,7 +248,7 @@ class TestGeometry:
 
 class TestTextFormat:
     def test_round_trip(self, tmp_path):
-        mesh = classify_boundary(build_unit_square(3, pattern="alternating"), top)
+        mesh = classify_boundary(build_unit_square(3, pattern="alternating"), "top")
         path = tmp_path / "mesh.txt"
         save_mesh(mesh, path)
         back = load_mesh(path)
@@ -508,7 +513,7 @@ class TestTextFormat:
                 load_mesh(path)
 
     def test_n40_round_trip_counts(self, tmp_path):
-        mesh = classify_boundary(build_unit_square(40), sides)
+        mesh = classify_boundary(build_unit_square(40), "sides")
         path = tmp_path / "big.txt"
         save_mesh(mesh, path)
         back = load_mesh(path)

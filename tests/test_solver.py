@@ -12,19 +12,18 @@ from numpy.testing import assert_allclose
 
 from viscofem.assembly import SparseSPD, assemble_stiffness, load_vector
 from viscofem.fields import AffineMap, BoundaryData, build_dirichlet
-from viscofem.mesh import GAMMA0, MeshGeometry, build_unit_square, classify_boundary
+from viscofem.mesh import MeshGeometry, build_unit_square, classify_boundary
 from viscofem import solver
 from viscofem.solver import SolveReport, SolverError, factorize, solve_spd
 from viscofem.tensors import Material, StepParams
 
 from oracles import as_csr, dense_spd_solve, interpolate
-from test_mesh import sides, top
 
 UNIT = Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0)
 
 
-def reduced_patch_system(n=3, predicate=None):
-    mesh = classify_boundary(build_unit_square(n), predicate or (lambda p: GAMMA0))
+def reduced_patch_system(n=3, gamma0="all"):
+    mesh = classify_boundary(build_unit_square(n), gamma0)
     geom = MeshGeometry(mesh)
     g = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
     ds = build_dirichlet(mesh, g)
@@ -88,14 +87,14 @@ class TestFEMSystems:
         assert_allclose(x, interpolate(mesh, g).ravel(), atol=1e-10)
 
     def test_mixed_boundary_system_matches_dense_oracle(self):
-        mesh, reduced, rhs, _ = reduced_patch_system(n=4, predicate=sides)
+        mesh, reduced, rhs, _ = reduced_patch_system(n=4, gamma0="sides")
         x, report = solve(reduced, rhs)
         assert report.converged
         assert report.residual <= 1e-12 * np.linalg.norm(rhs)
         assert_allclose(x, dense_spd_solve(as_csr(reduced).toarray(), rhs), atol=1e-10)
 
     def test_condensed_system_solves(self):
-        mesh = classify_boundary(build_unit_square(6), top)
+        mesh = classify_boundary(build_unit_square(6), "top")
         geom = MeshGeometry(mesh)
         s = StepParams.from_material(UNIT, tau=0.01)
         ds = build_dirichlet(mesh, AffineMap.zero())
@@ -109,7 +108,7 @@ class TestFEMSystems:
 
 class TestSettingsAndFailure:
     def test_non_finite_rhs_stops_at_once(self):
-        _, reduced, rhs, _ = reduced_patch_system(n=3, predicate=sides)
+        _, reduced, rhs, _ = reduced_patch_system(n=3, gamma0="sides")
         rhs[0] = np.nan
         _, report = solve(reduced, rhs)
         assert report.converged is False
@@ -136,7 +135,7 @@ class TestSettingsAndFailure:
     def test_inexact_factor_is_refined(self):
         # the factor of (1 + 1e-9) A leaves a backward error near 1e-9 after
         # the first substitution; one refinement pass brings it under _TOL
-        _, system, rhs, _ = reduced_patch_system(n=4, predicate=sides)
+        _, system, rhs, _ = reduced_patch_system(n=4, gamma0="sides")
         lu = factorize(replace(system, data=(1.0 + 1e-9) * system.data))
         x, report = solve_spd(system, rhs, lu)
         assert report.iterations == 2
@@ -157,9 +156,9 @@ class TestSuperLULoader:
         code = (
             "import sys\n"
             "from dataclasses import replace\n"
-            "from viscofem import preset_config, run\n"
+            "from viscofem import Simulation, preset_config\n"
             "cfg = preset_config('example1')\n"
-            "run(replace(cfg, mesh=replace(cfg.mesh, n=2), t_end=0.02), sample_steps=())\n"
+            "Simulation(replace(cfg, mesh=replace(cfg.mesh, n=2), t_end=0.02)).run()\n"
             "print(' '.join(sorted(sys.modules)))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -2,15 +2,17 @@
 a dense monolithic oracle for the split step, and run bookkeeping."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import viscofem.stepper
+from viscofem.config import preset_config
 from viscofem.fields import AffineMap, BoundaryData, strain_field
 from viscofem.diagnostics import stress_components_linf, verify_result
-from viscofem.mesh import MeshGeometry, build_unit_square, classify_boundary, boundary_predicate
+from viscofem.mesh import MeshGeometry, build_unit_square, classify_boundary
 from viscofem.stepper import (
     _MAX_STEPS,
     MeshSpec,
@@ -21,11 +23,10 @@ from viscofem.stepper import (
     count_steps,
     default_sample_steps,
     equilibrium_solve,
-    run,
 )
 from viscofem.tensors import Material, stress
 
-from oracles import interpolate, monolithic_step, save_mesh, stress_of
+from oracles import delaunay_mesh, interpolate, left_arc, monolithic_step, save_mesh, stress_of
 
 PULL = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
 
@@ -102,7 +103,7 @@ class TestCountSteps:
 class TestZeroData:
     def test_everything_stays_zero(self):
         cfg = make_config(n=3, t_end=0.03)
-        result = run(cfg, sample_steps=())
+        result = Simulation(cfg).run()
         assert_allclose(result.energy, 0.0, atol=0)
         assert_allclose(result.sigma_linf, 0.0, atol=0)
         assert_allclose(result.identity_residual, 0.0, atol=0)
@@ -165,7 +166,7 @@ class TestFixedPoints:
     def final_state(self, alpha):
         cfg = make_config(n=1, gamma0="all", g=PULL, alpha=alpha,
                           tau=0.1, t_end=50.0)
-        return run(cfg, sample_steps=()).final
+        return Simulation(cfg).run().final
 
     @pytest.mark.parametrize("alpha,sigma11", [(1.0, 11.0 / 15.0), (2.0, 7.0 / 6.0)])
     def test_converges_to_analytic_fixed_point(self, alpha, sigma11):
@@ -177,7 +178,7 @@ class TestFixedPoints:
 
         state = self.final_state(alpha)
         assert_allclose(state.phi, np.tile(phi_star, (2, 1)), atol=1e-10)
-        geom = MeshGeometry(classify_boundary(build_unit_square(1), boundary_predicate("all")))
+        geom = MeshGeometry(classify_boundary(build_unit_square(1), "all"))
         m = Material(lam=1.0, mu=1.0, eta=1.0, alpha=alpha)
         sigma_linf = stress_components_linf(stress_of(geom, m, state.u, state.phi).sigma)
         assert_allclose(sigma_linf, np.abs(sigma_star), atol=1e-10)
@@ -186,7 +187,7 @@ class TestFixedPoints:
         state = self.final_state(0.0)
         Cm = voigt_elasticity(1.0, 1.0)
         assert_allclose(state.phi, np.tile([1.0, 0.0, 0.0], (2, 1)), atol=1e-10)
-        geom = MeshGeometry(classify_boundary(build_unit_square(1), boundary_predicate("all")))
+        geom = MeshGeometry(classify_boundary(build_unit_square(1), "all"))
         m = Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0)
         assert stress_components_linf(stress_of(geom, m, state.u, state.phi).sigma).max() <= 1e-10
 
@@ -239,6 +240,31 @@ class TestMonolithicOracle:
         self.compare_one_step(cfg, phi0)
 
 
+class TestDirichletValues:
+    """The constrained systems have unit rows and columns at the Dirichlet
+    dofs and the factor does not pivot rows, so every solve returns the
+    prescribed values there bitwise; nothing writes them afterwards."""
+
+    @pytest.mark.parametrize("case", [("example1", 4), ("example1", 16), ("example2", 4),
+                                      ("example2", 16), "mesh file"])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_solves_carry_the_prescribed_values(self, tmp_path, case, alpha):
+        if case == "mesh file":
+            path = tmp_path / "polygon.mesh"
+            save_mesh(left_arc(delaunay_mesh(n=5, seed=3)), path)
+            cfg = replace(make_config(alpha=alpha, g=AffineMap([[1.0, 0.5], [0.0, -2.0]], [0.3, 0.1])),
+                          mesh=MeshSpec(path=str(path)), gamma0="file")
+        else:
+            cfg = preset_config(case[0], alpha=alpha)
+            cfg = replace(cfg, mesh=replace(cfg.mesh, n=case[1]))
+        sim = Simulation(cfg)
+        rng = np.random.default_rng(17)
+        for system in (sim.system_plain, sim.system_eff):
+            for _ in range(3):
+                u, _ = sim._solve(system, rng.standard_normal(sim.geom.n_dofs), "seeded solve")
+                assert np.array_equal(u[sim.dirichlet.nodes], sim.dirichlet.values)
+
+
 class TestSubstitutionEquivalence:
     def test_displacement_re_solves_plain_system(self):
         # with the updated tensor field on the right-hand side, the plain
@@ -250,7 +276,7 @@ class TestSubstitutionEquivalence:
         state, _ = sim.initial_state()
         for _ in range(cfg.n_steps):
             state, _ = sim.step(state)
-        u_re, _ = equilibrium_solve(sim, state.phi)
+        u_re, _, _ = equilibrium_solve(sim, state.phi)
         assert_allclose(u_re, state.u, atol=1e-10)
 
 
@@ -326,14 +352,14 @@ class TestRunBookkeeping:
 
 class TestValidation:
     def test_file_labels_mode(self, tmp_path):
-        labeled = classify_boundary(build_unit_square(3), boundary_predicate("top"))
+        labeled = classify_boundary(build_unit_square(3), "top")
         path = tmp_path / "labeled.mesh"
         save_mesh(labeled, path)
         cfg = make_config(t_end=0.02)
         cfg = RunConfig(material=cfg.material, tau=cfg.tau, t_end=cfg.t_end,
                         mesh=MeshSpec(path=str(path)), gamma0="file", bc=cfg.bc,
                         cadence=0)
-        result = run(cfg, sample_steps=())
+        result = Simulation(cfg).run()
         assert result.mesh.n_nodes == 16
 
     def test_file_labels_require_dirichlet_edges(self, tmp_path):
@@ -398,7 +424,7 @@ class TestDeterminism:
 
 class TestStrainOnce:
     def test_one_strain_per_step(self, monkeypatch):
-        from viscofem import diagnostics, stepper
+        from viscofem import stepper
 
         calls = []
 
@@ -407,13 +433,12 @@ class TestStrainOnce:
             return strain_field(geom, u)
 
         monkeypatch.setattr(stepper, "strain_field", counted)
-        monkeypatch.setattr(diagnostics, "strain_field", counted)
         cfg = make_config(n=3, gamma0="sides", g=PULL, t_end=0.05)
         Simulation(cfg).run()
         assert len(calls) == cfg.n_steps + 1  # one per step, one for the initial state
 
     def test_one_stress_per_state(self, monkeypatch):
-        from viscofem import diagnostics, stepper
+        from viscofem import stepper
 
         calls = []
 
@@ -422,7 +447,6 @@ class TestStrainOnce:
             return stress(C, e, phi)
 
         monkeypatch.setattr(stepper, "stress", counted)
-        monkeypatch.setattr(diagnostics, "stress", counted)
         cfg = make_config(n=3, gamma0="sides", g=PULL, t_end=0.05)
         Simulation(cfg).run()
         assert len(calls) == cfg.n_steps + 1  # one per step, one for the initial state
@@ -480,6 +504,7 @@ class TestEquilibriumPatch:
         sim = Simulation(make_config(n=3, gamma0="all", g=g, lam=1.1, mu=0.7, eta=1.0, alpha=0.4))
         # e[g] is the symmetric part of the matrix; here it equals the matrix
         phi = np.tile([2.0, -1.0, 0.5], (sim.mesh.n_triangles, 1))
-        u, _ = equilibrium_solve(sim, phi)
+        u, st, _ = equilibrium_solve(sim, phi)
         assert_allclose(u, interpolate(sim.mesh, g), atol=1e-10)
-        assert stress_components_linf(stress_of(sim.geom, sim.material, u, phi).sigma).max() <= 1e-10
+        assert stress_components_linf(st.sigma).max() <= 1e-10
+        assert np.array_equal(st.sigma, stress_of(sim.geom, sim.material, u, phi).sigma)
