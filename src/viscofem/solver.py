@@ -3,7 +3,7 @@
 Every system a run solves is a constrained stiffness matrix, a SparseSPD
 built by Stiffness.system as lam * K_tr + 2*mu * K_dev on one CSR pattern
 (symmetric positive definite). It is constant in time, so it is factored
-once and every solve is two triangular substitutions:
+once, and a solve is passes of two triangular substitutions each:
 
     factorize(system)       SuperLU gstrf (X. S. Li, ACM TOMS 31(3), 2005)
                             with the MMD ordering of A^T + A, no row
@@ -12,30 +12,53 @@ once and every solve is two triangular substitutions:
                             positive. The data is bitwise symmetric, so the
                             CSR arrays are also the CSC arrays gstrf takes.
     solve_spd(system, b, lu)
-                            x = LU \\ b, and only if that x is not
-                            accepted, one step of iterative refinement,
-                            x += LU \\ (b - A x).
+                            conjugate gradients on system, preconditioned
+                            with lu (Golub and Van Loan, Matrix
+                            Computations, 4th ed., alg. 11.5.1), from
+                            x = LU \\ b. A pass is one substitution, so when
+                            lu is the factor of system itself the first
+                            pass is the direct solve; at most _MAX_PASSES.
+                            Each pass computes its residual b - A x afresh,
+                            for its test and as the next CG residual.
 
-A solve is accepted by the normwise backward error of what it returns
-(Rigal and Gaches; Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 7), in the infinity norm:
+Each pass is tested by the normwise backward error of its x (Rigal and
+Gaches; Higham, Accuracy and Stability of Numerical Algorithms, ch. 7), in
+the infinity norm, and the first x that passes is returned:
 
     eta = ||b - A x|| / (||A|| ||x|| + ||b||) <= _TOL.
 
-Measured on the presets (example1 and example2, plain and condensed
-systems, n = 40 and 160, tau = 0.01 and 1e-4, seeded tensor loads), eta
-was 1.4e-16 to 6.8e-16 after the first substitution and 5.4e-17 to
-1.6e-16 after a refinement step. On every step of the three perfbench
-runs (example1 at n = 40, example2 at n = 16 and 160) the first
-substitution gave eta = 6.9e-17 to 4.4e-16 (largest per run 2.8e-16,
-2.9e-16 and 4.4e-16). So x is refined only when the first substitution
-fails the test (Higham, ch. 12), which none of those solves did, and is
-then tested again. _TOL = 1e-14 leaves a margin of about fifteen over the
-first substitution and fails any solve that is not backward stable,
-including every non-finite one. It is not a test of singularity: a nearly singular matrix
+With lu the factor of system, measured on the presets (example1 and
+example2, plain and condensed systems, n = 40 and 160, tau = 0.01 and
+1e-4, seeded tensor loads), eta was 1.4e-16 to 6.8e-16 after the first
+pass and 5.4e-17 to 1.6e-16 after one step of iterative refinement, which
+the second pass is up to CG's step length. On every step of the three
+perfbench runs (example1 at n = 40, example2 at n = 16 and 160) the first
+pass gave eta = 6.9e-17 to 4.4e-16 (largest per run 2.8e-16, 2.9e-16 and
+4.4e-16). So a direct solve is one pass, and a second runs only when the
+first fails the test (Higham, ch. 12). _TOL = 1e-14 leaves a margin of
+about fifteen over the first pass and fails any solve that is not
+backward stable, including every non-finite one, which stops after its
+first pass. It is not a test of singularity: a nearly singular matrix
 gives a small eta with a huge x, which is why Simulation rejects a mesh
 with a part the Dirichlet nodes do not hold before anything is factored.
 An exactly singular matrix stops gstrf, and factorize raises SolverError.
+
+With lu the factor of another system on the same pattern, CG converges at
+the rate its condition number allows. Every system is
+lam * K_tr + 2*mu * K_dev with unit Dirichlet rows, so the generalized
+eigenvalues of two of them lie between 1 and their per-mode ratios
+(O. Axelsson, Iterative Solution Methods, 1994, ch. 10). For the plain
+system C against the condensed one C_eff, a ratio is
+1 + c / (eta/tau + alpha) with c = 2 (lam + mu) or 2 mu: at most 1.04 on
+the presets (lam = mu = eta = 1, tau = 0.01). A Simulation solves its
+initial state this way, on the factor its steps use. Passes measured on
+the presets' initial states: 6 at n = 160 (example2, alpha = 1) and at
+n = 40 (both presets); 4 with tau = 1e-4; 6 with lam = -0.99, alpha = 0;
+19 with tau = 10, alpha = 0; and 100 (example1) and 110 (example2) with
+lam = 100, alpha = 0, tau = 10, whose largest ratio is about 2000.
+_MAX_PASSES = 30 passes cost about one factor at n = 160 (6 passes took
+57-89 ms, one factor 0.25-0.34 s); a solve not accepted within them is the
+caller's to redo on the system's own factor.
 
 The SuperLU extension is loaded from its file, not through
 scipy.sparse.linalg, which imports scipy.sparse and scipy.linalg, and no
@@ -58,6 +81,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 from dataclasses import dataclass
 
@@ -66,6 +90,7 @@ import numpy as np
 from .assembly import SparseSPD
 
 _TOL = 1e-14
+_MAX_PASSES = 30
 _OPTIONS = {"ColPerm": "MMD_AT_PLUS_A", "DiagPivotThresh": 0.0, "SymmetricMode": True}
 _SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
 
@@ -104,7 +129,8 @@ _superlu = _load_superlu()
 @dataclass
 class SolveReport:
     converged: bool         # backward_error <= _TOL
-    iterations: int         # substitution passes: 1 or 2, 0 for a zero right-hand side
+    iterations: int         # CG passes, each one substitution: 1 for an accepted direct
+                            # solve, at most _MAX_PASSES, 0 for a zero right-hand side
     residual: float         # ||b - A x||_2 of the returned x
     backward_error: float   # eta of the module docstring
 
@@ -119,8 +145,9 @@ def factorize(system: SparseSPD):
 
 
 def solve_spd(system: SparseSPD, b, lu) -> tuple[np.ndarray, SolveReport]:
-    """Solve system @ x = b with lu, the factor of system, refining once if
-    the first substitution is not accepted.
+    """Solve system @ x = b by CG preconditioned with lu, the factor of
+    system or of another system on its pattern, until a pass is accepted
+    or _MAX_PASSES have run.
 
     Returns (x, SolveReport); raising on a failed solve is the caller's call.
     """
@@ -135,11 +162,25 @@ def solve_spd(system: SparseSPD, b, lu) -> tuple[np.ndarray, SolveReport]:
     x = lu.solve(b)
     r, backward_error = _residual(system, b, x, norm_b)
     passes = 1
-    if backward_error > _TOL:
-        x += lu.solve(r)
+    p = rz = None
+    # a NaN backward error fails the comparison and ends the loop
+    while backward_error > _TOL and passes < _MAX_PASSES:
+        z = lu.solve(r)
+        rz_next = _dot(r, z)
+        p = z if p is None else z + (rz_next / rz) * p
+        rz = rz_next
+        q = system.matvec(p)
+        x += (rz / _dot(p, q)) * p
         r, backward_error = _residual(system, b, x, norm_b)
-        passes = 2
-    return x, SolveReport(backward_error <= _TOL, passes, float(np.linalg.norm(r)), backward_error)
+        passes += 1
+    return x, SolveReport(backward_error <= _TOL, passes, math.sqrt(_dot(r, r)), backward_error)
+
+
+def _dot(a, b) -> float:
+    """a . b by einsum's own loop: a multithreaded BLAS ddot (also behind
+    np.linalg.norm) of the n = 160 system's length took 4-10 ms on a 2-core
+    VM, einsum 0.04 ms."""
+    return float(np.einsum("i,i", a, b))
 
 
 def _residual(system: SparseSPD, b, x, norm_b: float) -> tuple[np.ndarray, float]:

@@ -22,10 +22,16 @@ stiffness once and keeps the two constrained systems built from it: the
 plain one (C) for equilibrium solves and the condensed one (C_eff) for the
 steps. Their constrained rows and columns are unit and the factor does no
 row pivoting, so every solve returns the prescribed values at the
-Dirichlet nodes exactly; nothing writes them afterwards. It factors a
-system on its first solve and keeps that one factor until another system
-is solved: a run factors the plain system for the initial state, then the
-condensed one for the steps, and never holds two factors.
+Dirichlet nodes exactly; nothing writes them afterwards.
+
+A Simulation holds at most one factor, and frees it before it builds
+another. A run factors once: the initial state solves the plain system by
+CG preconditioned with the condensed factor (solver), built then, and the
+steps solve directly on that factor. Only when CG is not accepted within
+its pass cap, at an extreme contrast between C and C_eff, is the plain
+system factored for the initial state and the condensed one again for the
+steps. The verify probes (equilibrium_solve) solve the plain system
+directly: the first probe factors it, and the rest reuse that factor.
 
 Each field of a state is computed once. A step computes the strain e of
 the new displacement, the update phi from it, and the new state's Stress
@@ -165,9 +171,10 @@ class Simulation:
     """Precomputed operators for one configuration; states flow through step().
 
     The classified mesh, the Dirichlet set, the load vector and both
-    constrained systems are built once, here. run(sample_steps) drives a
-    whole run, as the CLI does; its RunResult keeps the Simulation for
-    verify_result.
+    constrained systems are built once, here; nothing is factored until
+    the first solve. run(sample_steps) drives a whole run, as the CLI does,
+    on one factor of the condensed system; its RunResult keeps the
+    Simulation for verify_result, whose probes factor the plain system.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -185,18 +192,35 @@ class Simulation:
         stiffness = assemble_stiffness(self.geom, self.dirichlet)
         self.system_plain = stiffness.system(self.material)
         self.system_eff = stiffness.system(self.step_params.condensed)
-        self._factor = None  # (system, its factor) of the last system solved
+        self._factor = None  # (system, its factor) of the last system factored
         self._last = None    # (state, its Stress) of the last state produced
 
-    def _solve(self, system: SparseSPD, rhs, what: str) -> tuple[np.ndarray, SolveReport]:
+    def _factor_of(self, system: SparseSPD):
+        """The factor of system: the one held, or built once the held one is freed."""
         if self._factor is None or self._factor[0] is not system:
-            self._factor = None  # free the old factor before building the next
+            self._factor = None  # never hold two factors, not even while building one
             self._factor = (system, factorize(system))
-        x, rep = solve_spd(system, system.reduce_rhs(rhs), self._factor[1])
+        return self._factor[1]
+
+    def _solve(self, system: SparseSPD, rhs, what: str,
+               factored: SparseSPD) -> tuple[np.ndarray, SolveReport]:
+        """Solve system on the factor of factored; if that is not accepted,
+        on the factor of system itself."""
+        b = system.reduce_rhs(rhs)
+        x, rep = solve_spd(system, b, self._factor_of(factored))
+        if not rep.converged and factored is not system:
+            x, rep = solve_spd(system, b, self._factor_of(system))
         if not rep.converged:
             raise SolverError(f"{what} failed: backward error {rep.backward_error:.3e}, "
                               f"residual {rep.residual:.3e}")
         return x.reshape(-1, 2), rep
+
+    def _equilibrium(self, phi, factored: SparseSPD) -> tuple[np.ndarray, Stress, SolveReport]:
+        """equilibrium_solve, on the factor of factored."""
+        C = self.step_params.C
+        u, rep = self._solve(self.system_plain, tensor_load(self.geom, phi @ C) + self.load,
+                             "equilibrium solve", factored)
+        return u, stress(C, strain_field(self.geom, u), phi), rep
 
     def _stress_of(self, state: SimulationState) -> Stress:
         """Stress of state, remembered when state is the last one produced."""
@@ -205,7 +229,8 @@ class Simulation:
         return stress(self.step_params.C, strain_field(self.geom, state.u), state.phi)
 
     def initial_state(self, phi0: np.ndarray | None = None) -> tuple[SimulationState, StepReport]:
-        """Equilibrium displacement for the initial tensor field (default 0)."""
+        """Equilibrium displacement for the initial tensor field (default 0),
+        solved on the condensed factor the steps use."""
         phi = zero_tensor_field(self.mesh) if phi0 is None else np.array(phi0, dtype=float)
         if phi.shape != (self.mesh.n_triangles, 3):
             raise ValueError(f"phi0 has shape {phi.shape}, expected {(self.mesh.n_triangles, 3)}")
@@ -214,7 +239,7 @@ class Simulation:
             t, c = bad[0]
             raise ValueError(f"phi0 is not finite at triangle {t}, component "
                              f"{('xx', 'yy', 'xy')[c]}: {phi[t, c]}")
-        u, st, rep = equilibrium_solve(self, phi)
+        u, st, rep = self._equilibrium(phi, self.system_eff)
         report = diagnostics.energy(self.geom, self.material, u, phi, st, self.load)
         state = SimulationState(k=0, t=0.0, u=u, phi=phi, energy=report.total)
         self._last = (state, st)
@@ -226,7 +251,8 @@ class Simulation:
         k = state.k + 1
         st_prev = self._stress_of(state)
         rhs = tensor_load(self.geom, state.phi @ sp.drag) + self.load
-        u, rep = self._solve(self.system_eff, rhs, f"displacement solve at step {k}")
+        u, rep = self._solve(self.system_eff, rhs, f"displacement solve at step {k}",
+                             self.system_eff)
 
         e = strain_field(self.geom, u)
         phi = e @ sp.update_strain + state.phi @ sp.update_prev
@@ -305,14 +331,10 @@ def equilibrium_solve(sim: Simulation, phi) -> tuple[np.ndarray, Stress, SolveRe
     """Displacement minimizing the energy at a frozen tensor field phi, and
     the Stress of the state (u, phi).
 
-    Solves the plain system of sim with the right-hand side (C phi, e[v]) +
-    l(v). The initial state and the gradient-flow probes use it.
+    Solves the plain system of sim on its own factor with the right-hand
+    side (C phi, e[v]) + l(v). The gradient-flow probes use it.
     """
-    C = sim.step_params.C
-    phi = np.asarray(phi, dtype=float)
-    u, rep = sim._solve(sim.system_plain, tensor_load(sim.geom, phi @ C) + sim.load,
-                        "equilibrium solve")
-    return u, stress(C, strain_field(sim.geom, u), phi), rep
+    return sim._equilibrium(np.asarray(phi, dtype=float), sim.system_plain)
 
 
 def _check_held(mesh: Mesh, dirichlet_nodes: np.ndarray) -> None:

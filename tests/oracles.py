@@ -22,17 +22,30 @@ import mpmath
 import numpy as np
 import scipy.sparse as sparse
 import sympy as sp
+from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
 from viscofem.config import config_text
 from viscofem.fields import AffineMap, BoundaryData, DirichletSet, strain_field
 from viscofem.mesh import GAMMA0, GAMMA1, Mesh
-from viscofem.tensors import isotropic, stress
+from viscofem.tensors import Material, isotropic, stress
 
 DIM = 2
 
 # the Dirichlet set of no node: a Stiffness built with it is unconstrained
 NO_DIRICHLET = DirichletSet(nodes=np.empty(0, dtype=np.int64), values=np.empty((0, 2)))
+
+
+def admissible(draw_alpha):
+    """Materials with mu in [0.1, 10] and lam = mu * (shift - 1), shift in
+    [1e-6, 5]: lam reaches down to within 1e-6 mu of the floor -mu."""
+    return st.builds(
+        lambda mu, shift, eta, alpha: Material(lam=mu * (shift - 1.0), mu=mu, eta=eta, alpha=alpha),
+        st.floats(0.1, 10.0), st.floats(1e-6, 5.0), st.floats(0.1, 10.0), draw_alpha)
+
+
+MATERIALS = admissible(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+TAUS = st.floats(1e-4, 10.0)
 
 
 def elasticity_matrix(lam, mu):

@@ -1,27 +1,49 @@
-"""The benchmark's tracer still reaches the package.
+"""The benchmark's tracer still reaches the package, and its workloads
+still pass its correctness gate.
 
 perfbench/spans.py times each layer by wrapping module attributes of the
 package (its TARGETS); a per-layer metric of BENCHMARK.json is reported
 only while every span it is computed from has a target that resolves. A
 refactor that renames or inlines a wrapped function drops the metric
 silently, so this test resolves the targets without running the benchmark.
-It reads perfbench/spans.py, perfbench/run.py and BENCHMARK.json and
-changes none of them.
+
+perfbench/workloads.py gates every operation on the verify report and on
+the final energy and sigma11 against its reference values (1e-10 and 1e-8
+relative). Each workload is run here once, untimed, through that gate, so
+a drift from the references shows in the tests.
+
+These tests read perfbench/spans.py, perfbench/workloads.py,
+perfbench/run.py and BENCHMARK.json and change none of them.
 """
 
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
+
+import pytest
+
+from viscofem import Simulation, verify_result
+from viscofem.stepper import default_sample_steps
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_perfbench("spans")
+
+
+WORKLOADS = load_perfbench("workloads")
 
 
 def resolves(module_name, path) -> bool:
@@ -46,3 +68,17 @@ def test_every_per_layer_metric_has_a_live_target():
         for source in spans.METRIC_SOURCES[metric]:
             if not source.startswith("phase."):  # phases are spans of the harness
                 assert source in live, f"{metric}: no target of span {source} resolves"
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_passes_the_benchmark_gate(tmp_path, name):
+    w = WORKLOADS.WORKLOADS[name]
+    cfg = WORKLOADS.make_config(w, str(tmp_path))
+    # the sample steps and verify directions of workloads.run_op
+    if w.full_verify:
+        sample, directions = default_sample_steps(cfg.n_steps), 10
+    else:
+        sample, directions = (cfg.n_steps,), 1
+    result = Simulation(cfg).run(sample_steps=sample)
+    report = verify_result(result, directions=directions, seed=7)
+    assert WORKLOADS.gate(w, result, report) == []

@@ -50,7 +50,7 @@ class TestSmallSystems:
         x, report = solve(spd(A), b)
         assert report.converged
         assert_allclose(x, [1.0 / 11.0, 7.0 / 11.0], rtol=1e-12)
-        # the first substitution is accepted, so no refinement pass
+        # the first pass, the direct solve, is accepted
         assert report.iterations == 1
 
     def test_identity(self):
@@ -111,7 +111,7 @@ class TestSettingsAndFailure:
         _, reduced, rhs, _ = reduced_patch_system(n=3, gamma0="sides")
         rhs[0] = np.nan
         _, report = solve(reduced, rhs)
-        assert report.converged is False
+        assert report.converged is False and report.iterations == 1
         assert np.isnan(report.backward_error)
 
     @pytest.mark.parametrize("A", [np.diag([1.0, 0.0]), np.ones((2, 2))])
@@ -134,7 +134,7 @@ class TestSettingsAndFailure:
 
     def test_inexact_factor_is_refined(self):
         # the factor of (1 + 1e-9) A leaves a backward error near 1e-9 after
-        # the first substitution; one refinement pass brings it under _TOL
+        # the first pass; the second, one CG step, brings it under _TOL
         _, system, rhs, _ = reduced_patch_system(n=4, gamma0="sides")
         lu = factorize(replace(system, data=(1.0 + 1e-9) * system.data))
         x, report = solve_spd(system, rhs, lu)
@@ -142,6 +142,34 @@ class TestSettingsAndFailure:
         assert report.converged
         assert report.backward_error <= 1e-14
         assert_allclose(x, dense_spd_solve(as_csr(system).toarray(), rhs), atol=1e-10)
+
+
+def plain_and_condensed(m, tau, n):
+    """The plain and condensed systems of m on an n x n square held on its sides."""
+    mesh = classify_boundary(build_unit_square(n), "sides")
+    geom = MeshGeometry(mesh)
+    g = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
+    stiffness = assemble_stiffness(geom, build_dirichlet(mesh, g))
+    plain = stiffness.system(m)
+    rhs = plain.reduce_rhs(load_vector(geom, BoundaryData(g=g, q=[0.0, 0.0], f=[0.0, -1.0])))
+    return plain, stiffness.system(StepParams.from_material(m, tau).condensed), rhs
+
+
+class TestPreconditionedCG:
+    def test_plain_system_on_condensed_factor(self):
+        # per-mode ratios 1 + c / (eta/tau + alpha) <= 1.04: a few passes
+        plain, condensed, rhs = plain_and_condensed(UNIT, 0.01, 6)
+        x, report = solve_spd(plain, rhs, factorize(condensed))
+        assert report.converged and 2 <= report.iterations <= 8
+        assert_allclose(x, dense_spd_solve(as_csr(plain).toarray(), rhs), rtol=1e-12,
+                        atol=1e-12)
+
+    def test_stops_at_the_pass_cap(self):
+        # ratios up to 1 + 2 (lam + mu) / (eta/tau) = 2021 need 58 passes
+        m = Material(lam=100.0, mu=1.0, eta=1.0, alpha=0.0)
+        plain, condensed, rhs = plain_and_condensed(m, 10.0, 16)
+        _, report = solve_spd(plain, rhs, factorize(condensed))
+        assert report.converged is False and report.iterations == solver._MAX_PASSES
 
 
 class TestSuperLULoader:

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import viscofem.stepper
@@ -26,8 +27,10 @@ from viscofem.stepper import (
 )
 from viscofem.tensors import Material, stress
 
-from oracles import delaunay_mesh, interpolate, left_arc, monolithic_step, save_mesh, stress_of
+from oracles import (MATERIALS, TAUS, delaunay_mesh, interpolate, left_arc, monolithic_step,
+                     save_mesh, stress_of)
 
+EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 PULL = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
 
 # meshes with a part the Dirichlet nodes do not hold, in the text format:
@@ -243,7 +246,9 @@ class TestMonolithicOracle:
 class TestDirichletValues:
     """The constrained systems have unit rows and columns at the Dirichlet
     dofs and the factor does not pivot rows, so every solve returns the
-    prescribed values there bitwise; nothing writes them afterwards."""
+    prescribed values there bitwise; nothing writes them afterwards. A CG
+    pass on the plain system with the condensed factor leaves them as they
+    are: its residual and search direction are zero at those dofs."""
 
     @pytest.mark.parametrize("case", [("example1", 4), ("example1", 16), ("example2", 4),
                                       ("example2", 16), "mesh file"])
@@ -258,10 +263,15 @@ class TestDirichletValues:
             cfg = preset_config(case[0], alpha=alpha)
             cfg = replace(cfg, mesh=replace(cfg.mesh, n=case[1]))
         sim = Simulation(cfg)
+        state, _ = sim.initial_state()
+        assert np.array_equal(state.u[sim.dirichlet.nodes], sim.dirichlet.values)
         rng = np.random.default_rng(17)
-        for system in (sim.system_plain, sim.system_eff):
+        for system, factored in ((sim.system_plain, sim.system_eff),
+                                 (sim.system_plain, sim.system_plain),
+                                 (sim.system_eff, sim.system_eff)):
             for _ in range(3):
-                u, _ = sim._solve(system, rng.standard_normal(sim.geom.n_dofs), "seeded solve")
+                u, _ = sim._solve(system, rng.standard_normal(sim.geom.n_dofs), "seeded solve",
+                                  factored)
                 assert np.array_equal(u[sim.dirichlet.nodes], sim.dirichlet.values)
 
 
@@ -468,34 +478,86 @@ class TestStrainOnce:
         assert rep_other.backward_error == rep_cached.backward_error
 
 
+def count_factors(monkeypatch, sim):
+    """Record (system, whether sim held no factor) at every factorize call."""
+    calls = []
+    factorize = viscofem.stepper.factorize
+
+    def counted(system):
+        calls.append((system, sim._factor is None))
+        return factorize(system)
+
+    monkeypatch.setattr(viscofem.stepper, "factorize", counted)
+    return calls
+
+
 class TestFactorLifetime:
-    def test_one_factor_built_on_first_solve(self):
+    def test_one_factor_built_on_first_solve(self, monkeypatch):
         cfg = make_config(n=3, gamma0="sides", g=PULL, t_end=0.02)
         sim = Simulation(cfg)
+        calls = count_factors(monkeypatch, sim)
         assert sim._factor is None  # set-up factors nothing
         state, _ = sim.initial_state()
-        assert sim._factor[0] is sim.system_plain
-        sim.step(state)
-        assert sim._factor[0] is sim.system_eff
+        assert sim._factor[0] is sim.system_eff  # the plain system solved on it by CG
         lu = sim._factor[1]
         sim.step(state)
+        sim.step(state)
         assert sim._factor[1] is lu
-        equilibrium_solve(sim, state.phi)
+        equilibrium_solve(sim, state.phi)  # a probe factors the plain system
         assert sim._factor[0] is sim.system_plain
+        assert calls == [(sim.system_eff, True), (sim.system_plain, True)]
+
+    @pytest.mark.parametrize("preset", ["example1", "example2"])
+    def test_run_factors_once(self, monkeypatch, preset):
+        cfg = preset_config(preset)
+        cfg = replace(cfg, mesh=replace(cfg.mesh, n=4), t_end=0.05)
+        sim = Simulation(cfg)
+        calls = count_factors(monkeypatch, sim)
+        sim.run(sample_steps=(1, 5))
+        assert calls == [(sim.system_eff, True)]
 
     def test_second_verify_factors_nothing(self, monkeypatch):
         cfg = make_config(n=3, gamma0="sides", g=PULL, t_end=0.05)
         result = Simulation(cfg).run(sample_steps=(1, 5))
         assert result.sim._factor[0] is result.sim.system_eff
-        calls = []
-        factorize = viscofem.stepper.factorize
-        monkeypatch.setattr(viscofem.stepper, "factorize",
-                            lambda system: calls.append(system) or factorize(system))
+        calls = count_factors(monkeypatch, result.sim)
         first = verify_result(result, directions=2)
-        assert calls == [result.sim.system_plain]  # the probes' one factor
+        assert calls == [(result.sim.system_plain, True)]  # the probes' one factor
         second = verify_result(result, directions=2)
         assert len(calls) == 1
         assert first == second and first.ok
+
+
+class TestInitialStateByCG:
+    """The initial state solves the plain system by CG on the condensed
+    factor; it must be as accurate as a direct solve on the plain factor."""
+
+    @EXAMPLES
+    @given(m=MATERIALS, tau=TAUS, preset=st.sampled_from(["example1", "example2"]))
+    def test_matches_direct_solve(self, m, tau, preset):
+        cfg = preset_config(preset)
+        sim = Simulation(replace(cfg, material=m, tau=tau, t_end=tau,
+                                 mesh=replace(cfg.mesh, n=4)))
+        phi0 = 0.2 * np.random.default_rng(5).standard_normal((sim.mesh.n_triangles, 3))
+        state, rep = sim.initial_state(phi0)
+        u, _, _ = equilibrium_solve(sim, phi0)  # factors the plain system
+        assert rep.backward_error <= 1e-14
+        assert np.abs(state.u - u).max() <= 1e-10 * np.abs(u).max()
+
+    def test_beyond_the_pass_cap_factors_the_plain_system(self, monkeypatch):
+        # the largest plain-to-condensed ratio is 1 + 2 (lam + mu) / (eta / tau),
+        # about 2000: CG would need 58 passes at n = 16
+        cfg = preset_config("example2")
+        cfg = replace(cfg, material=Material(lam=100.0, mu=1.0, eta=1.0, alpha=0.0),
+                      tau=10.0, t_end=20.0, mesh=replace(cfg.mesh, n=16))
+        sim = Simulation(cfg)
+        calls = count_factors(monkeypatch, sim)
+        result = sim.run()
+        assert calls == [(sim.system_eff, True), (sim.system_plain, True),
+                         (sim.system_eff, True)]
+        assert result.backward_error.max() <= 1e-14
+        direct, _, _ = equilibrium_solve(sim, result.snapshots[0].phi)
+        assert np.array_equal(result.snapshots[0].u, direct)
 
 
 class TestEquilibriumPatch:

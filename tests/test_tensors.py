@@ -34,6 +34,9 @@ from viscofem.tensors import (
 )
 
 from oracles import (
+    MATERIALS,
+    TAUS,
+    admissible,
     apply_C,
     apply_matrix,
     as_matrix,
@@ -217,16 +220,6 @@ class TestMatrixOracle:
 # ---------------------------------------------------------------------------
 
 
-def admissible(draw_alpha):
-    """Materials with mu in [0.1, 10] and lam = mu * (shift - 1), shift in
-    [1e-6, 5]: lam reaches down to within 1e-6 mu of the floor -mu."""
-    return st.builds(
-        lambda mu, shift, eta, alpha: Material(lam=mu * (shift - 1.0), mu=mu, eta=eta, alpha=alpha),
-        st.floats(0.1, 10.0), st.floats(1e-6, 5.0), st.floats(0.1, 10.0), draw_alpha)
-
-
-MATERIALS = admissible(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
-TAUS = st.floats(1e-4, 10.0)
 EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
