@@ -10,7 +10,8 @@ the integrands are piecewise constant, and l against a P1 field is a dot
 product with the assembled load vector. Every L2 inner product of two P0
 tensor fields is one contraction against DDOT_WEIGHTS and one dot product
 with the element areas (psi_inner), and the elasticity one is the plain one
-against the stress: ||e - phi||_C^2 = (sigma, e - phi).
+against the stress: ||e - phi||_C^2 = (sigma, e - phi). Both dot products
+are solver.dot, whose sum does not depend on the BLAS thread count.
 
 Two structural identities of the scheme are checked here. Per step,
 
@@ -53,6 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import MeshGeometry
+from .solver import dot
 from .tensors import DDOT_WEIGHTS, Material, Stress
 
 # The central-difference step of gradient_flow_check (E* is quadratic in phi,
@@ -76,7 +78,7 @@ class EnergyReport:
 
 def psi_inner(geom: MeshGeometry, X, Y) -> float:
     """L2 inner product of two P0 tensor fields."""
-    return float(np.dot(geom.areas, np.multiply(X, Y) @ DDOT_WEIGHTS))
+    return dot(geom.areas, np.multiply(X, Y) @ DDOT_WEIGHTS)
 
 
 def energy(geom: MeshGeometry, m: Material, u, phi, st: Stress, load) -> EnergyReport:
@@ -84,7 +86,7 @@ def energy(geom: MeshGeometry, m: Material, u, phi, st: Stress, load) -> EnergyR
     load vector, so l(u) = load . u."""
     elastic = 0.5 * psi_inner(geom, st.sigma, st.gap)
     relax = 0.5 * m.alpha * psi_inner(geom, phi, phi)
-    work = float(load @ np.asarray(u, dtype=float).ravel())
+    work = dot(load, np.asarray(u, dtype=float).ravel())
     return EnergyReport(total=elastic + relax - work, elastic=elastic, relax=relax, work=work)
 
 

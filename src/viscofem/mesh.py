@@ -109,14 +109,12 @@ def build_unit_square(n: int, pattern: str = "alternating") -> Mesh:
                          corners[:, [[0, 1, 3], [1, 2, 3]]]).reshape(-1, 3)
 
     edges = _boundary_edges(triangles, nodes.shape[0])
-    mesh = Mesh(
+    return Mesh(
         nodes=nodes,
         triangles=triangles,
         edges=edges,
         edge_labels=np.full(len(edges), GAMMA1, dtype=np.int64),
     )
-    _check_conforming(mesh, hull=edges)
-    return mesh
 
 
 def _boundary_edges(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -247,8 +245,8 @@ def _edge_keys(edges: np.ndarray, n_nodes: int) -> np.ndarray:
     return np.minimum(i, j) * n_nodes + np.maximum(i, j)
 
 
-def _check_conforming(mesh: Mesh, hull: np.ndarray | None = None) -> None:
-    """hull is _boundary_edges of the triangles if the caller has it already."""
+def _check_conforming(mesh: Mesh) -> None:
+    """MeshFormatError unless every node is used and the boundary list is the hull."""
     nt, nn = mesh.n_triangles, mesh.n_nodes
     if nt == 0 or nn < 3:
         raise MeshFormatError("mesh needs at least one triangle and three nodes")
@@ -260,7 +258,7 @@ def _check_conforming(mesh: Mesh, hull: np.ndarray | None = None) -> None:
         raise MeshFormatError(f"node {int(unused[0])} belongs to no triangle")
 
     # the listed boundary must be the hull: the edges of exactly one triangle
-    hull = _edge_keys(_boundary_edges(mesh.triangles, nn) if hull is None else hull, nn)
+    hull = _edge_keys(_boundary_edges(mesh.triangles, nn), nn)
     listed, times = np.unique(_edge_keys(mesh.edges, nn), return_counts=True)
     if np.any(times > 1):
         raise MeshFormatError(f"boundary edge {divmod(int(listed[times > 1][0]), nn)} listed twice")

@@ -44,6 +44,10 @@ last state it produced and reuses it when that state is stepped, and
 computes it, by the same strain_field and stress calls, only for a state it
 did not produce (a custom driver's). States are treated as immutable.
 
+run records each time level as one row of one table, from the time and
+the level's StepReport; RunResult's series are its columns (RunResult lists
+their order).
+
 Each edge-connected group of triangles needs two Dirichlet nodes, or its
 rigid motions are not fixed and the plain system is singular; Simulation
 rejects a mesh with such a group before anything is factored.
@@ -117,9 +121,8 @@ class RunConfig:
         return count_steps(self.t_end, self.tau)
 
 
-# A run records eleven 8-byte numbers per step (the time, six energy and
-# residual series, three stress maxima, the solve's backward error), so this
-# ceiling keeps that record under 1 GB before any field is stored.
+# A run records one row of eleven 8-byte numbers per time level (RunResult),
+# so this ceiling keeps that table under 1 GB before any field is stored.
 _MAX_STEPS = 10**7
 
 
@@ -142,8 +145,14 @@ def count_steps(t_end: float, tau: float) -> int:
 
 @dataclass
 class RunResult:
-    """Full trajectory record of one run by the Simulation sim. Arrays have
-    one row per time level."""
+    """Full trajectory record of one run by the Simulation sim.
+
+    Simulation.run records each time level as one row of one (N+1, 11)
+    table, and the nine series are views of its columns, in the order the
+    files write them: times, energy, elastic, relax, work and
+    identity_residual (energy.csv), the three columns of sigma_linf
+    (stress.csv), then scheme_residual and backward_error.
+    """
 
     sim: Simulation
     times: np.ndarray
@@ -152,8 +161,8 @@ class RunResult:
     relax: np.ndarray
     work: np.ndarray
     identity_residual: np.ndarray
-    scheme_residual: np.ndarray
     sigma_linf: np.ndarray     # (N+1, 3): max |sigma_xx|, |sigma_yy|, |sigma_xy|
+    scheme_residual: np.ndarray
     backward_error: np.ndarray  # of each level's displacement solve
     snapshots: list[SimulationState] = field(default_factory=list)
     sampled_pairs: dict[int, tuple[np.ndarray, SimulationState]] = field(default_factory=dict)
@@ -278,25 +287,15 @@ class Simulation:
         if bad:
             raise ValueError(f"sample steps {sorted(bad)} outside 1..{n}")
 
-        times = np.empty(n + 1)
-        series = {name: np.empty(n + 1) for name in
-                  ("energy", "elastic", "relax", "work", "identity", "scheme")}
-        sigma_linf = np.empty((n + 1, 3))
-        backward_error = np.empty(n + 1)
+        levels = np.empty((n + 1, 11))
         snapshots: list[SimulationState] = []
         pairs: dict[int, tuple[np.ndarray, SimulationState]] = {}
 
         state, rep = self.initial_state(phi0)
         for k in range(n + 1):
-            times[k] = state.t
-            series["energy"][k] = rep.energy.total
-            series["elastic"][k] = rep.energy.elastic
-            series["relax"][k] = rep.energy.relax
-            series["work"][k] = rep.energy.work
-            series["identity"][k] = rep.identity_residual
-            series["scheme"][k] = rep.scheme_residual
-            sigma_linf[k] = rep.sigma_linf
-            backward_error[k] = rep.backward_error
+            en = rep.energy
+            levels[k] = (state.t, en.total, en.elastic, en.relax, en.work, rep.identity_residual,
+                         *rep.sigma_linf, rep.scheme_residual, rep.backward_error)
             if k == 0 or k == n or (cfg.cadence > 0 and k % cfg.cadence == 0):
                 snapshots.append(state)
             if k == n:
@@ -306,20 +305,8 @@ class Simulation:
             if state.k in sample:
                 pairs[state.k] = (phi_prev, state)
 
-        return RunResult(
-            sim=self,
-            times=times,
-            energy=series["energy"],
-            elastic=series["elastic"],
-            relax=series["relax"],
-            work=series["work"],
-            identity_residual=series["identity"],
-            scheme_residual=series["scheme"],
-            sigma_linf=sigma_linf,
-            backward_error=backward_error,
-            snapshots=snapshots,
-            sampled_pairs=pairs,
-        )
+        # RunResult's series in column order; sigma_linf is the block 6:9
+        return RunResult(self, *levels.T[:6], levels[:, 6:9], *levels.T[9:], snapshots, pairs)
 
 
 def default_sample_steps(n_steps: int) -> tuple[int, ...]:

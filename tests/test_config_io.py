@@ -1,5 +1,6 @@
 """Configuration parsing, output files, and the command line front end."""
 
+import os
 import re
 import subprocess
 import sys
@@ -327,6 +328,23 @@ class TestOutputFiles:
         write_outputs(again, second)
         for path in sorted(first.iterdir()):
             assert path.read_bytes() == (second / path.name).read_bytes()
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # at n = 80 a BLAS ddot splits the area and load sums between its
+        # threads, which moved the last bits of energy.csv and summary.txt
+        cfg = replace(preset_config("example1"), t_end=0.1)
+        cfg = replace(cfg, mesh=replace(cfg.mesh, n=80))
+        write_config(cfg, tmp_path / "run.cfg")
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "viscofem.cli", "solve", "--config", str(tmp_path / "run.cfg"),
+                 "--out", str(tmp_path / threads)],
+                capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+        names = sorted(path.name for path in (tmp_path / "1").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "2").iterdir())
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def write_small_config(tmp_path, **kw):

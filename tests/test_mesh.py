@@ -17,6 +17,7 @@ from viscofem.mesh import (
     Mesh,
     MeshFormatError,
     MeshGeometry,
+    _check_conforming,
     build_unit_square,
     classify_boundary,
     edge_groups,
@@ -63,10 +64,11 @@ class TestBuild:
     @pytest.mark.parametrize("pattern", ["right", "left", "alternating"])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
     def test_triangles_match_cell_loop(self, n, pattern):
-        triangles = build_unit_square(n, pattern=pattern).triangles
+        mesh = build_unit_square(n, pattern=pattern)
+        _check_conforming(mesh)
         reference = loop_unit_square_triangles(n, pattern)
-        assert triangles.dtype == reference.dtype
-        assert np.array_equal(triangles, reference)
+        assert mesh.triangles.dtype == reference.dtype
+        assert np.array_equal(mesh.triangles, reference)
 
     @pytest.mark.parametrize("pattern", ["right", "left", "alternating"])
     @pytest.mark.parametrize("n", [1, 2, 3, 7])

@@ -310,6 +310,27 @@ class TestRunBookkeeping:
         assert result.final is result.snapshots[-1]
         assert result.final.k == n
 
+    @pytest.mark.parametrize("preset", ["example1", "example2"])
+    def test_series_hold_every_report_field(self, preset):
+        cfg = preset_config(preset)
+        cfg = replace(cfg, mesh=replace(cfg.mesh, n=4), t_end=5 * cfg.tau)
+        sim = Simulation(cfg)
+        result = sim.run()
+        state, rep = sim.initial_state()
+        for k in range(cfg.n_steps + 1):
+            if k:
+                state, rep = sim.step(state)
+            assert result.times[k] == state.t == k * cfg.tau
+            assert np.array_equal(result.sigma_linf[k], rep.sigma_linf)
+            for series, value in ((result.energy, rep.energy.total),
+                                  (result.elastic, rep.energy.elastic),
+                                  (result.relax, rep.energy.relax),
+                                  (result.work, rep.energy.work),
+                                  (result.identity_residual, rep.identity_residual),
+                                  (result.scheme_residual, rep.scheme_residual),
+                                  (result.backward_error, rep.backward_error)):
+                assert series[k] == value, k
+
     def test_snapshot_energies_match_series(self):
         _, sim = self.small_run(cadence=4)
         result = sim.run()
