@@ -2,26 +2,34 @@
 
 Every volume integrand here is piecewise constant (P1 strains against P0
 tensors), so one-point centroid quadrature is exact and an element matrix is
-just area * (T e_i) : e_j for the six local basis strains. The load uses the
-two exact low-order rules for the data admitted by this solver:
+just area * (T e_i) : e_j for the six local basis strains, which are the
+element's columns of the mesh's strain operator S (mesh.MeshGeometry). The
+load uses the two exact low-order rules for the data admitted by this
+solver:
 
     body force f (constant):     each vertex of a triangle gets area/3 * f
     traction q (constant):       each endpoint of a GAMMA1 edge gets |e|/2 * q
 
-Every element-to-dof sum is one np.bincount, which adds each dof's weights
-in the order given. load_vector orders the body-force weights vertex by
-vertex (vertex 0 of every triangle, then 1, then 2), then the traction
-weights of the start points and of the end points, so its sums are bitwise
-those of per-vertex and per-endpoint accumulation.
+The tensor load (W, e[v]) of a P0 field W is S^T (W * inner_weights), one
+csc_matvec on S's arrays (csr): it adds each element's 12 entries to their
+dofs element by element, component by component. The load vector is one
+np.bincount, which adds each dof's weights in the order given: the
+body-force weights vertex by vertex (vertex 0 of every triangle, then 1,
+then 2), then the traction weights of the start points and of the end
+points, so its sums are bitwise those of per-vertex and per-endpoint
+accumulation.
 
 The stiffness of an isotropic operator with Lame pair (l, m) is
 l * K_tr + 2*m * K_dev. The reference matrices are the stiffnesses of the
 pairs (1, 0) and (0, 1/2): elementwise area * tr(B_i) * tr(B_j) and
-area * B_i : B_j for the basis strains B_i. assemble_stiffness builds the
-CSR pattern once per mesh: np.unique of the keys row * n + col of the 36
-dof pairs of every element returns them in row-major CSR order, and its
-inverse is each element entry's slot. Each reference matrix is one
-np.bincount of its element entries over the slots.
+area * B_i : B_j for the basis strains B_i. Both are read off S's data:
+tr(B_i) is the gradient entry of dof i's xx or yy row, and B_i : B_j is
+the product of the xx entries (two x dofs) or of the yy entries (two y
+dofs), plus twice the product of the xy entries, which every pair has.
+assemble_stiffness builds the CSR pattern once per mesh: np.unique of the
+keys row * n + col of the 36 dof pairs of every element returns them in
+row-major CSR order, and its inverse is each element entry's slot. Each
+reference matrix is one np.bincount of its element entries over the slots.
 
 Every element entry is a product of commuting factors (tr(B_i) * tr(B_j),
 B_ia * B_ja), so the entries (i, j) and (j, i) are equal bitwise, and
@@ -41,7 +49,8 @@ matrix on the prescribed values is subtracted from every right-hand side.
 The constrained matrix stays symmetric positive definite, and the
 constrained components of the solution carry the boundary values directly.
 Each system is compacted once, after the mask: its zero entries are
-dropped and its index arrays are int32, the index type SuperLU takes.
+dropped. Its index arrays are int32, the index type SuperLU takes, and its
+matvec is csr_matvec (csr).
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .csr import CSR
 from .fields import BoundaryData, DirichletSet
 from .mesh import GAMMA1, MeshGeometry
 from .tensors import DDOT_WEIGHTS, Lame, Material
@@ -60,42 +70,31 @@ _ROUNDOFF = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class SparseSPD:
-    """A constrained stiffness in CSR storage (int32 indices, no stored
-    zeros): symmetric positive definite, with unit diagonal rows at the
-    constrained dofs. column_action is the unconstrained matrix times the
-    prescribed values, which reduce_rhs moves to the right-hand side."""
+class SparseSPD(CSR):
+    """A constrained stiffness in CSR storage (no stored zeros): symmetric
+    positive definite, with unit diagonal rows at the constrained dofs.
+    column_action is the unconstrained matrix times the prescribed values,
+    which reduce_rhs moves to the right-hand side."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
     constrained: np.ndarray
     values: np.ndarray
     column_action: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.indptr) - 1
+        return self.n_rows
 
     @cached_property
     def norm_inf(self) -> float:
         """Largest absolute row sum."""
-        return float(_row_sums(self.indptr, np.abs(self.data)).max())
-
-    def matvec(self, x) -> np.ndarray:
-        return _row_sums(self.indptr, self.data * np.asarray(x, dtype=float)[self.indices])
+        magnitudes = CSR(self.indptr, self.indices, np.abs(self.data), self.n)
+        return float(magnitudes.matvec(np.ones(self.n)).max())
 
     def reduce_rhs(self, rhs: np.ndarray) -> np.ndarray:
         """The right-hand side of the constrained system for a load rhs."""
         out = np.asarray(rhs, dtype=float) - self.column_action
         out[self.constrained] = self.values
         return out
-
-
-def _row_sums(indptr, values) -> np.ndarray:
-    """Per CSR row, the sum of its stored values. Every row of a stiffness
-    pattern holds its diagonal, so no row is empty."""
-    return np.add.reduceat(values, indptr[:-1])
 
 
 @dataclass(frozen=True)
@@ -118,37 +117,42 @@ class Stiffness:
         ds = self.dirichlet
         lift = np.zeros(len(self.indptr) - 1)
         lift[ds.dofs] = ds.flat_values
-        column_action = _row_sums(self.indptr, data * lift[self.indices])
+        column_action = CSR(self.indptr, self.indices, data, len(lift)).matvec(lift)
         data[self.cleared] = 0.0
         data[self.pinned] = 1.0
         keep = data != 0.0
         kept_before = np.concatenate(([0], np.cumsum(keep)))  # entries kept before each slot
         return SparseSPD(kept_before[self.indptr].astype(np.int32), self.indices[keep], data[keep],
-                         ds.dofs, ds.flat_values, column_action)
+                         len(lift), ds.dofs, ds.flat_values, column_action)
 
 
 def assemble_stiffness(geom: MeshGeometry, ds: DirichletSet) -> Stiffness:
     """The reference matrices K_tr and K_dev of a mesh on their CSR pattern,
     constrained by ds (see the module docstring)."""
     n = geom.n_dofs
-    keys = (geom.dofs[:, :, None] * n + geom.dofs[:, None, :]).ravel()
+    dofs = geom.dofs  # int32; the keys are int64
+    keys = (dofs[:, :, None] * np.int64(n) + dofs[:, None, :]).ravel()
     keys, slot = np.unique(keys, return_inverse=True)
     rows, cols = np.divmod(keys, n)
 
-    B = geom.strain_basis  # (m, 6, 3)
+    # each element's 12 entries of S: gx at its x dofs, gy at its y dofs,
+    # then its xy entries at all six
+    entries = geom.S.data.reshape(-1, 12)
+    gx, gy, xy = entries[:, 0:3], entries[:, 3:6], entries[:, 6:12]
     area = geom.areas[:, None, None]
-    tr = B[:, :, 0] + B[:, :, 1]
+    tr = np.empty((len(entries), 6))
+    tr[:, 0::2], tr[:, 1::2] = gx, gy
     trace = np.bincount(slot, weights=(area * (tr[:, :, None] * tr[:, None, :])).ravel())
-    dev = area * (B[:, :, None, 0] * B[:, None, :, 0])
-    for a in (1, 2):
-        dev += DDOT_WEIGHTS[a] * (area * (B[:, :, None, a] * B[:, None, :, a]))
+    dev = DDOT_WEIGHTS[2] * (area * (xy[:, :, None] * xy[:, None, :]))
+    dev[:, 0::2, 0::2] += area * (gx[:, :, None] * gx[:, None, :])
+    dev[:, 1::2, 1::2] += area * (gy[:, :, None] * gy[:, None, :])
     dev = np.bincount(slot, weights=dev.ravel())
 
     fixed = np.zeros(n, dtype=bool)
     fixed[ds.dofs] = True
     cleared = fixed[rows] | fixed[cols]
     return Stiffness(
-        indptr=np.searchsorted(rows, np.arange(n + 1)),
+        indptr=np.searchsorted(rows, np.arange(n + 1)).astype(np.int32),
         indices=cols.astype(np.int32),
         trace=trace,
         dev=dev,
@@ -159,10 +163,9 @@ def assemble_stiffness(geom: MeshGeometry, ds: DirichletSet) -> Stiffness:
 
 
 def tensor_load(geom: MeshGeometry, W: np.ndarray) -> np.ndarray:
-    """(W, e[v]) for a P0 tensor field W, as a vector over all dofs."""
-    contrib = np.einsum("ea,eda->ed", np.asarray(W, dtype=float) * DDOT_WEIGHTS, geom.strain_basis)
-    contrib *= geom.areas[:, None]
-    return np.bincount(geom.dofs.ravel(), weights=contrib.ravel(), minlength=geom.n_dofs)
+    """(W, e[v]) for a P0 tensor field W, as a vector over all dofs:
+    S^T (W * inner_weights)."""
+    return geom.S.rmatvec(np.reshape(W, -1) * geom.inner_weights)
 
 
 def load_vector(geom: MeshGeometry, bd: BoundaryData) -> np.ndarray:

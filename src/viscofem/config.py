@@ -232,10 +232,13 @@ def preset_config(name: str, alpha: float = 1.0) -> RunConfig:
 
     example1: creep under a constant body force (0, -1), top edge clamped,
     run to T = 1. example2: stress relaxation under the stretch g = (x1, 0)
-    held on both vertical sides, run to T = 2.
+    held on both vertical sides, run to T = 2. ValueError for an alpha that
+    is not finite and non-negative (validate_material).
     """
+    material = Material(lam=1.0, mu=1.0, eta=1.0, alpha=float(alpha))
+    validate_material(material)
     base = dict(
-        material=Material(lam=1.0, mu=1.0, eta=1.0, alpha=float(alpha)),
+        material=material,
         tau=0.01,
         mesh=MeshSpec(n=40, pattern="alternating"),
         cadence=10,

@@ -7,7 +7,11 @@ Field storage conventions, used as-is by every downstream module:
 
 P1 displacements have elementwise-constant strain, so the strain of a P1
 field is a P0 tensor field and one-point quadrature is exact everywhere it
-is used. Boundary data is deliberately time independent: g affine, q and f
+is used. strain_field is one product with the mesh's strain operator S
+(mesh.MeshGeometry), a csr_matvec (csr) that sums each strain component's
+stored entries in local dof order.
+
+Boundary data is deliberately time independent: g affine, q and f
 constant. That keeps the load functional fixed over a run, which the energy
 bookkeeping relies on.
 """
@@ -112,7 +116,6 @@ def zero_tensor_field(mesh: Mesh) -> np.ndarray:
 
 
 def strain_field(geom: MeshGeometry, u: np.ndarray) -> np.ndarray:
-    """Strain of a P1 displacement as a P0 tensor field, all elements at once:
-    each element's six dof values against its six basis strains."""
-    ul = np.asarray(u, dtype=float).reshape(-1)[geom.dofs]  # (m, 6)
-    return np.einsum("md,mdc->mc", ul, geom.strain_basis)
+    """Strain of a P1 displacement as a P0 tensor field: S u, one product
+    with the mesh's strain operator."""
+    return geom.S.matvec(np.reshape(u, -1)).reshape(-1, 3)

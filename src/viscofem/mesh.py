@@ -12,6 +12,12 @@ from a run's gamma0: a named side of the unit square is one mask over the
 edge midpoints, exact for its axis-aligned sides, and "file" keeps the
 loaded labels.
 
+MeshGeometry holds what the solver needs of a mesh's geometry: the element
+areas and the strain operator S, the CSR matrix (csr) that maps a P1
+displacement to its P0 strain field. The strain field, the tensor load and
+the stiffness read an element's geometry off its area and its 12 entries
+of S, the barycentric gradients of its nodes.
+
 The text format mirrors the in-memory layout, 0-based indices throughout:
 
     nodes N          followed by N lines  "x y"
@@ -32,6 +38,9 @@ import re
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .csr import CSR
+from .tensors import DDOT_WEIGHTS
 
 GAMMA0 = 0  # Dirichlet boundary label
 GAMMA1 = 1  # traction boundary label
@@ -185,10 +194,22 @@ def classify_boundary(mesh: Mesh, gamma0: str) -> Mesh:
 class MeshGeometry:
     """Vectorized per-element geometry for the whole mesh.
 
-    areas         (m,) triangle areas
-    strain_basis  (m, 6, 3) strain of each local displacement basis
-                  function, local dof order (n0x, n0y, n1x, n1y, n2x, n2y)
-    dofs          (m, 6) global dof indices, dof 2*node + component
+    areas  (m,) triangle areas
+    S      the strain operator, a CSR with 3m rows and n_dofs columns: row
+           3k + c is strain component c (xx, yy, xy) of element k, so S u
+           is the P0 strain field of a P1 displacement u (dof 2*node +
+           component) and column d of S the strain of basis function d.
+           Element k stores 12 entries from 12k: the xx row the gradients
+           gx of its nodes 0, 1, 2 at their x dofs, the yy row gy at the y
+           dofs, and the xy row 0.5*gy, 0.5*gx at all six in local dof order
+           (n0x, n0y, n1x, n1y, n2x, n2y); (gx, gy) is the barycentric
+           gradient of a node.
+    dofs   (m, 6) global dof indices in local dof order, a view of the xy
+           rows of S.indices
+    inner_weights
+           (3m,) per row of S, the element's area times the component's
+           contraction weight (tensors.DDOT_WEIGHTS): the weights of the
+           L2 inner product of P0 tensor fields
     """
 
     def __init__(self, mesh: Mesh):
@@ -200,24 +221,23 @@ class MeshGeometry:
             raise ValueError(f"degenerate or negatively oriented triangle {k}, doubled area {det[k]}")
         self.areas = 0.5 * det
 
-        # strain of basis (node i, component c): sym(e_c outer grad_i), with
-        # grad_i the barycentric gradient (gx, gy) of node i
-        B = np.zeros((mesh.n_triangles, 6, 3))
+        # element k's 12 entries of S (class docstring), from the barycentric
+        # gradient (gx, gy) of each node i: (p_j - p_k) rotated, over det
+        m = mesh.n_triangles
+        data = np.empty((m, 12))
         for i in range(3):
-            pj = p[:, (i + 1) % 3]
-            pk = p[:, (i + 2) % 3]
-            gx = (pj[:, 1] - pk[:, 1]) / det
-            gy = (pk[:, 0] - pj[:, 0]) / det
-            B[:, 2 * i, 0] = gx
-            B[:, 2 * i, 2] = 0.5 * gy
-            B[:, 2 * i + 1, 1] = gy
-            B[:, 2 * i + 1, 2] = 0.5 * gx
-        self.strain_basis = B
-
-        dofs = np.empty((mesh.n_triangles, 6), dtype=np.int64)
-        dofs[:, 0::2] = 2 * mesh.triangles
-        dofs[:, 1::2] = 2 * mesh.triangles + 1
-        self.dofs = dofs
+            pj, pk = p[:, (i + 1) % 3], p[:, (i + 2) % 3]
+            data[:, i] = (pj[:, 1] - pk[:, 1]) / det
+            data[:, 3 + i] = (pk[:, 0] - pj[:, 0]) / det
+        data[:, 6::2], data[:, 7::2] = 0.5 * data[:, 3:6], 0.5 * data[:, 0:3]
+        indices = np.empty((m, 12), dtype=np.int32)
+        indices[:, 0:3] = 2 * mesh.triangles
+        indices[:, 3:6] = indices[:, 0:3] + 1
+        indices[:, 6::2], indices[:, 7::2] = indices[:, 0:3], indices[:, 3:6]
+        indptr = np.append(np.arange(0, 12 * m, 12)[:, None] + [0, 3, 6], 12 * m).astype(np.int32)
+        self.S = CSR(indptr, indices.ravel(), data.ravel(), self.n_dofs)
+        self.dofs = self.S.indices.reshape(m, 12)[:, 6:]
+        self.inner_weights = (self.areas[:, None] * DDOT_WEIGHTS).ravel()
 
     @property
     def n_dofs(self) -> int:

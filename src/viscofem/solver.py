@@ -29,18 +29,19 @@ the infinity norm, and the first x that passes is returned:
 
 With lu the factor of system, measured on the presets (example1 and
 example2, plain and condensed systems, n = 40 and 160, tau = 0.01 and
-1e-4, seeded tensor loads), eta was 1.4e-16 to 6.8e-16 after the first
-pass and 5.4e-17 to 1.6e-16 after one step of iterative refinement, which
+1e-4, seeded tensor loads), eta was 1.5e-16 to 5.6e-16 after the first
+pass and 5.8e-17 to 1.5e-16 after one step of iterative refinement, which
 the second pass is up to CG's step length. On every step of the three
 perfbench runs (example1 at n = 40, example2 at n = 16 and 160) the first
-pass gave eta = 6.9e-17 to 4.4e-16 (largest per run 2.8e-16, 2.9e-16 and
-4.4e-16). So a direct solve is one pass, and a second runs only when the
-first fails the test (Higham, ch. 12). _TOL = 1e-14 leaves a margin of
-about fifteen over the first pass and fails any solve that is not
-backward stable, including every non-finite one, which stops after its
-first pass. It is not a test of singularity: a nearly singular matrix
-gives a small eta with a huge x, which is why Simulation rejects a mesh
-with a part the Dirichlet nodes do not hold before anything is factored.
+pass gave eta = 6.7e-17 to 4.6e-16 (largest per run 2.6e-16, 3.3e-16 and
+4.6e-16), with the residual from the compiled matvec of csr. So a
+direct solve is one pass, and a second runs only when the first fails the
+test (Higham, ch. 12). _TOL = 1e-14 leaves a margin of about eighteen
+over the first pass and fails any solve that is not backward stable,
+including every non-finite one, which stops after its first pass. It is
+not a test of singularity: a nearly singular matrix gives a small eta
+with a huge x, which is why Simulation rejects a mesh with a part the
+Dirichlet nodes do not hold before anything is factored.
 An exactly singular matrix stops gstrf, and factorize raises SolverError.
 
 With lu the factor of another system on the same pattern, CG converges at
@@ -60,11 +61,13 @@ _MAX_PASSES = 30 passes cost about one factor at n = 160 (6 passes took
 57-89 ms, one factor 0.25-0.34 s); a solve not accepted within them is the
 caller's to redo on the system's own factor.
 
-The SuperLU extension is loaded from its file, not through
-scipy.sparse.linalg, which imports scipy.sparse and scipy.linalg, and no
+The SuperLU extension is loaded from its file by csr.load_extension, as
+the sparsetools kernels of every matvec are, not through
+scipy.sparse.linalg, which imports scipy.sparse and scipy.linalg; no
 module of the package imports scipy.sparse. Peak RSS of the benchmark's
-creep-verify / relax-long / setup-large workloads with this solver
-(scipy 1.17.1, Python 3.11, 2-core VM, single 5 s runs), by import route:
+creep-verify / relax-long / setup-large workloads with this solver and
+SuperLU the only extension (scipy 1.17.1, Python 3.11, 2-core VM, single
+5 s runs), by import route:
 
     import scipy.sparse.linalg (as splu does):  75.9 / 74.6 / 181.2 MiB
     the extension by file, scipy.sparse kept:   67.3 / 66.2 / 171.7 MiB
@@ -72,22 +75,20 @@ creep-verify / relax-long / setup-large workloads with this solver
 
 against 62.5 / 63.9 / 174.5 MiB (medians of ten 30 s runs) for the
 Jacobi-PCG solver on scipy.sparse matrices that this one replaced.
-
-The extension is private scipy API; the loader raises ImportError naming
-the installed scipy version when it is missing or has no gstrf.
+Loading the sparsetools extension as well adds 0.1-0.3 MiB to the import
+peak (30.4-30.6 MiB); with it, ten 30 s runs of each workload read
+54.4 / 56.0 / 154.3 MiB (medians).
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import SparseSPD
+from .csr import load_extension
 
 _TOL = 1e-14
 _MAX_PASSES = 30
@@ -99,31 +100,7 @@ class SolverError(RuntimeError):
     """Raised when a displacement system cannot be factored or solved."""
 
 
-def _scipy_version() -> str:
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        return version("scipy")
-    except PackageNotFoundError:
-        return "not installed"
-
-
-def _load_superlu():
-    """SciPy's SuperLU extension, loaded by its file location."""
-    scipy = importlib.util.find_spec("scipy")
-    where = [os.path.join(d, "sparse", "linalg", "_dsolve")
-             for d in (scipy.submodule_search_locations if scipy else ())]
-    spec = importlib.machinery.PathFinder.find_spec(_SUPERLU, where)
-    if spec is None:
-        raise ImportError(f"no SuperLU extension {_SUPERLU} in scipy {_scipy_version()}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    if not hasattr(module, "gstrf"):
-        raise ImportError(f"the SuperLU extension of scipy {_scipy_version()} has no gstrf")
-    return module
-
-
-_superlu = _load_superlu()
+_superlu = load_extension(_SUPERLU, "gstrf")
 
 
 @dataclass
@@ -181,7 +158,7 @@ def dot(a, b) -> float:
     of a run (here and in diagnostics). BLAS ddot, behind np.dot, @ and
     np.linalg.norm, splits a long sum between its threads, so its last bits
     depend on the thread count, and at the n = 160 system's length it took
-    4-10 ms on a 2-core VM. einsum's loop sums in sequence: with it the
+    4-10 ms on a 2-core VM. With a sum in sequence instead, the
     largest energy-identity residual of example1 and example2 was ten times
     that of the pairwise sum (1.7e-13 against 1.4e-14 on example1)."""
     return float(np.multiply(a, b).sum())

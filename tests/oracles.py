@@ -137,10 +137,11 @@ def as_matrix(x) -> np.ndarray:
     return np.array([[xx, xy], [xy, yy]])
 
 
-def as_csr(system) -> sparse.csr_matrix:
-    """The CSR arrays of a SparseSPD as a scipy.sparse matrix, for dense,
-    transpose and pattern comparisons."""
-    return sparse.csr_matrix((system.data, system.indices, system.indptr), shape=(system.n, system.n))
+def as_csr(matrix) -> sparse.csr_matrix:
+    """A viscofem CSR (a SparseSPD, or a mesh's strain operator) as a
+    scipy.sparse matrix, for dense, transpose and pattern comparisons."""
+    return sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
+                             shape=(matrix.n_rows, matrix.n_cols))
 
 
 def dense_spd_solve(A, b) -> np.ndarray:
@@ -277,9 +278,38 @@ def interpolate(mesh, func) -> np.ndarray:
 
 
 def gradients(geom) -> np.ndarray:
-    """(m, 3, 2) barycentric gradients, read off geom.strain_basis."""
-    B = geom.strain_basis
-    return np.stack([B[:, 0::2, 0], B[:, 1::2, 1]], axis=-1)
+    """(m, 3, 2) barycentric gradients, read off the xx and yy rows of geom.S."""
+    rows = geom.S.data.reshape(-1, 12)
+    return np.stack([rows[:, 0:3], rows[:, 3:6]], axis=-1)
+
+
+def element_strain_basis(mesh) -> tuple[np.ndarray, np.ndarray]:
+    """(m, 6, 3) strains of the six local basis functions of each element,
+    local dof order (n0x, n0y, n1x, n1y, n2x, n2y), and the (m, 6) global
+    dofs, from the nodes alone, by MeshGeometry's gradient formula."""
+    p = mesh.nodes[mesh.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    B = np.zeros((mesh.n_triangles, 6, 3))
+    for i in range(3):
+        pj, pk = p[:, (i + 1) % 3], p[:, (i + 2) % 3]
+        gx = (pj[:, 1] - pk[:, 1]) / det
+        gy = (pk[:, 0] - pj[:, 0]) / det
+        B[:, 2 * i, 0] = gx
+        B[:, 2 * i, 2] = 0.5 * gy
+        B[:, 2 * i + 1, 1] = gy
+        B[:, 2 * i + 1, 2] = 0.5 * gx
+    dofs = np.empty((mesh.n_triangles, 6), dtype=np.int64)
+    dofs[:, 0::2] = 2 * mesh.triangles
+    dofs[:, 1::2] = 2 * mesh.triangles + 1
+    return B, dofs
+
+
+def einsum_strain_field(geom, u) -> np.ndarray:
+    """strain_field as each element's six dof values against its six basis
+    strains, by a two-operand einsum."""
+    B, dofs = element_strain_basis(geom.mesh)
+    return np.einsum("md,mdc->mc", np.asarray(u, dtype=float).reshape(-1)[dofs], B)
 
 
 def zero_displacement(mesh) -> np.ndarray:
@@ -410,9 +440,23 @@ def loop_load_vector(geom, bd) -> np.ndarray:
 
 
 def loop_tensor_load(geom, W) -> np.ndarray:
-    """tensor_load by unbuffered accumulation of each element's six entries."""
-    contrib = np.einsum("ea,a,eda->ed", np.asarray(W, dtype=float), np.array([1.0, 1.0, 2.0]),
-                        geom.strain_basis) * geom.areas[:, None]
+    """tensor_load by unbuffered accumulation in (element, component) order:
+    per element, per component c, each basis strain's c entry times
+    W_c * area * weight_c, added to its dof."""
+    B, dofs = element_strain_basis(geom.mesh)
+    w = np.asarray(W, dtype=float) * geom.areas[:, None] * np.array([1.0, 1.0, 2.0])
     out = np.zeros(geom.n_dofs)
-    np.add.at(out, geom.dofs, contrib)
+    np.add.at(out, np.broadcast_to(dofs[:, None, :], B.transpose(0, 2, 1).shape),
+              B.transpose(0, 2, 1) * w[:, :, None])
+    return out
+
+
+def element_tensor_load(geom, W) -> np.ndarray:
+    """tensor_load by each element's six entries area * (W : B_d), summed
+    over the weighted components first."""
+    B, dofs = element_strain_basis(geom.mesh)
+    contrib = np.einsum("ea,a,eda->ed", np.asarray(W, dtype=float), np.array([1.0, 1.0, 2.0]),
+                        B) * geom.areas[:, None]
+    out = np.zeros(geom.n_dofs)
+    np.add.at(out, dofs, contrib)
     return out

@@ -24,6 +24,8 @@ from oracles import (
     delaunay_mesh,
     dense_spd_solve,
     effective_matrix,
+    element_strain_basis,
+    element_tensor_load,
     interpolate,
     left_arc,
     loop_load_vector,
@@ -155,10 +157,11 @@ class TestElementMatrix:
             geom = MeshGeometry(mesh)
             n = geom.n_dofs
             dense = np.zeros((n, n))
+            basis, dofs = element_strain_basis(mesh)
             for k in range(mesh.n_triangles):
-                B = geom.strain_basis[k]
+                B = basis[k]
                 Ke = geom.areas[k] * B @ T.T @ W3 @ B.T
-                idx = geom.dofs[k]
+                idx = dofs[k]
                 dense[np.ix_(idx, idx)] += Ke
             A = stiffness_matrix(geom, s.condensed).toarray()
             assert_allclose(A, dense, rtol=1e-12, atol=1e-12)
@@ -222,7 +225,9 @@ class TestLoads:
             assert rhs[1::2].sum() == pytest.approx(1.0 * length, rel=1e-13)
 
     def test_scatters_match_accumulation_loops(self):
-        # the same sums in the same order: bitwise equal
+        # the same sums in the same order: bitwise equal; the tensor load
+        # sums in the kernel's (element, component) order, and agrees with
+        # the per-element sums of the weighted components to roundoff
         rng = np.random.default_rng(33)
         for mesh in (
             classify_boundary(build_unit_square(5, pattern="right"), "top"),
@@ -233,7 +238,10 @@ class TestLoads:
             bd = BoundaryData(g=AffineMap.zero(), q=rng.standard_normal(2), f=rng.standard_normal(2))
             assert load_vector(geom, bd).tobytes() == loop_load_vector(geom, bd).tobytes()
             W = rng.standard_normal((mesh.n_triangles, 3))
-            assert tensor_load(geom, W).tobytes() == loop_tensor_load(geom, W).tobytes()
+            load = tensor_load(geom, W)
+            assert load.tobytes() == loop_tensor_load(geom, W).tobytes()
+            assert_allclose(load, element_tensor_load(geom, W), rtol=0,
+                            atol=4 * np.finfo(float).eps * np.abs(load).max())
 
     def test_load_pairs_exactly_with_affine_fields(self):
         # (f, v) for affine v: exact because the vertex rule integrates P1

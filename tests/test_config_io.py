@@ -369,6 +369,17 @@ class TestCommandLine:
         assert "wrote" in capsys.readouterr().out
         assert parse_config(target).gamma0 == "sides"
 
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    def test_preset_rejects_inadmissible_alpha(self, alpha, capsys, tmp_path):
+        # check-config would reject what preset printed
+        assert main(["preset", "example1", "--alpha", alpha]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "alpha" in captured.err
+        target = tmp_path / "ex1.cfg"
+        assert main(["preset", "example2", "--alpha", alpha, "--out", str(target)]) == 1
+        assert not target.exists()
+
     def test_preset_rejects_unknown_name(self):
         with pytest.raises(SystemExit):
             main(["preset", "example9"])

@@ -24,8 +24,8 @@ from viscofem.mesh import (
     load_mesh,
 )
 
-from oracles import (delaunay_mesh, gradients, loop_edge_groups, loop_unit_square_triangles,
-                     save_mesh)
+from oracles import (as_csr, delaunay_mesh, element_strain_basis, gradients, loop_edge_groups,
+                     loop_unit_square_triangles, save_mesh)
 
 
 def one_triangle(points) -> Mesh:
@@ -231,16 +231,22 @@ class TestGeometry:
                     assert got == pytest.approx(expected, abs=1e-12)
 
     def test_strain_basis_layout(self):
-        mesh = build_unit_square(2)
+        # column d of S is the strain of basis function d: rows 3k..3k+2
+        # of element k hold its local basis strains, 12 stored entries
+        mesh = delaunay_mesh(n=4, seed=3)
         geom = MeshGeometry(mesh)
-        k = 0
-        g = gradients(geom)[k]
-        B = geom.strain_basis[k]
-        for i in range(3):
-            assert_allclose(B[2 * i], [g[i, 0], 0.0, 0.5 * g[i, 1]])
-            assert_allclose(B[2 * i + 1], [0.0, g[i, 1], 0.5 * g[i, 0]])
-        assert np.all(geom.dofs[:, 0::2] == 2 * mesh.triangles)
-        assert np.all(geom.dofs[:, 1::2] == 2 * mesh.triangles + 1)
+        m = mesh.n_triangles
+        S = as_csr(geom.S).toarray()
+        assert S.shape == (3 * m, geom.n_dofs)
+        assert np.array_equal(geom.S.indptr, np.append(12 * np.arange(m)[:, None] + [0, 3, 6], 12 * m))
+        assert geom.S.indptr.dtype == geom.S.indices.dtype == np.int32
+        basis, dofs = element_strain_basis(mesh)
+        for k in range(m):
+            assert np.array_equal(S[3 * k:3 * k + 3][:, dofs[k]], basis[k].T)
+            others = np.setdiff1d(np.arange(geom.n_dofs), dofs[k])
+            assert not S[3 * k:3 * k + 3][:, others].any()
+        assert np.array_equal(geom.dofs, dofs)
+        assert np.array_equal(geom.inner_weights, np.repeat(geom.areas, 3) * np.tile([1.0, 1.0, 2.0], m))
 
     def test_degenerate_triangle_rejected(self):
         mesh = one_triangle([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])

@@ -14,6 +14,7 @@ from viscofem.assembly import SparseSPD, assemble_stiffness, load_vector
 from viscofem.fields import AffineMap, BoundaryData, build_dirichlet
 from viscofem.mesh import MeshGeometry, build_unit_square, classify_boundary
 from viscofem import solver
+from viscofem.csr import _SPARSETOOLS, load_extension
 from viscofem.solver import SolveReport, SolverError, factorize, solve_spd
 from viscofem.tensors import Material, StepParams
 
@@ -35,7 +36,7 @@ def reduced_patch_system(n=3, gamma0="all"):
 def spd(A) -> SparseSPD:
     """An unconstrained SparseSPD around a small symmetric matrix."""
     A = sparse.csr_matrix(A)
-    return SparseSPD(A.indptr.astype(np.int32), A.indices.astype(np.int32), A.data,
+    return SparseSPD(A.indptr.astype(np.int32), A.indices.astype(np.int32), A.data, A.shape[1],
                      np.empty(0, dtype=np.int64), np.empty(0), np.zeros(A.shape[0]))
 
 
@@ -173,14 +174,13 @@ class TestPreconditionedCG:
 
 
 class TestSuperLULoader:
-    def test_missing_extension_names_scipy_version(self, monkeypatch):
-        monkeypatch.setattr(solver, "_SUPERLU", "scipy.sparse.linalg._dsolve._absent")
+    def test_missing_extension_names_scipy_version(self):
         with pytest.raises(ImportError, match=f"_absent in scipy {scipy.__version__}"):
-            solver._load_superlu()
+            load_extension("scipy.sparse.linalg._dsolve._absent", "gstrf")
 
     def test_run_imports_neither_scipy_sparse_nor_scipy_linalg(self):
-        # the memory budget of the package: the SuperLU extension is the one
-        # scipy.sparse module a run loads
+        # the memory budget of the package: the SuperLU and sparsetools
+        # extensions are the only scipy.sparse modules a run loads
         code = (
             "import sys\n"
             "from dataclasses import replace\n"
@@ -194,4 +194,4 @@ class TestSuperLULoader:
         loaded = proc.stdout.split()
         assert "viscofem.solver" in loaded
         assert [m for m in loaded if m.startswith("scipy.linalg")] == []
-        assert [m for m in loaded if m.startswith("scipy.sparse")] == [solver._SUPERLU]
+        assert [m for m in loaded if m.startswith("scipy.sparse")] == sorted([solver._SUPERLU, _SPARSETOOLS])
