@@ -76,8 +76,8 @@ SuperLU the only extension (scipy 1.17.1, Python 3.11, 2-core VM, single
 against 62.5 / 63.9 / 174.5 MiB (medians of ten 30 s runs) for the
 Jacobi-PCG solver on scipy.sparse matrices that this one replaced.
 Loading the sparsetools extension as well adds 0.1-0.3 MiB to the import
-peak (30.4-30.6 MiB); with it, ten 30 s runs of each workload read
-54.4 / 56.0 / 154.3 MiB (medians).
+peak (30.4-30.6 MiB); with it, 30 s runs of each workload read
+54.4-54.6 / 56.0 / 154.3-155.3 MiB (medians of ten and of three runs).
 """
 
 from __future__ import annotations
