@@ -132,17 +132,9 @@ class TestStiffnessMatvec:
 
 
 class TestExtensionLoader:
-    def test_missing_module_names_scipy_version(self):
-        with pytest.raises(ImportError,
-                           match=f"no extension scipy.sparse._absent in scipy {scipy.__version__}"):
-            load_extension("scipy.sparse._absent", "csr_matvec", "csc_matvec")
-
+    # a missing module: test_solver.py::TestSuperLULoader
     @pytest.mark.parametrize("kernel", ["csr_matvec", "csc_matvec"])
     def test_missing_kernel_names_scipy_version(self, kernel):
         wanted = [k if k != kernel else f"{k}_absent" for k in ("csr_matvec", "csc_matvec")]
         with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no {kernel}_absent$"):
             load_extension(csr._SPARSETOOLS, *wanted)
-
-    def test_loads_the_kernels(self):
-        module = load_extension(csr._SPARSETOOLS, "csr_matvec", "csc_matvec")
-        assert callable(module.csr_matvec) and callable(module.csc_matvec)
