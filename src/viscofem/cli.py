@@ -11,20 +11,21 @@ gradient-flow spot checks with fresh constrained solves); a verification
 failure makes the exit code nonzero, as does any aborted run.
 
 preset prints one of the two built-in experiment configurations (to stdout
-by default) so it can be edited and fed back to solve. check-config parses
-and validates a configuration without running it.
+by default) so it can be edited and fed back to solve. check-config validates a
+configuration, its mesh file and boundary as solve does, without running it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
 from . import diagnostics, outputs
 from .config import ConfigError, config_text, parse_config, preset_config
 from .mesh import MeshFormatError
-from .stepper import Simulation, SolverError, default_sample_steps
+from .stepper import Simulation, SolverError, default_sample_steps, prepare_mesh
 
 
 def main(argv=None) -> int:
@@ -73,7 +74,9 @@ def _cmd_solve(args) -> int:
         cfg = replace(cfg, outdir=args.out)
 
     sample = default_sample_steps(cfg.n_steps) if args.verify else ()
-    result = Simulation(cfg).run(sample_steps=sample)
+    sim = Simulation(cfg)
+    os.makedirs(cfg.outdir, exist_ok=True)  # before the run, so a bad --out costs no steps
+    result = sim.run(sample_steps=sample)
     paths = outputs.write_outputs(result, cfg.outdir)
 
     print(f"ran {cfg.n_steps} steps of tau={cfg.tau!r} "
@@ -112,6 +115,8 @@ def _cmd_preset(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = parse_config(args.path)
+    if cfg.mesh.path is not None:
+        prepare_mesh(cfg)
     print(f"{args.path}: ok ({cfg.n_steps} steps, alpha={cfg.material.alpha!r}, "
           f"gamma0={cfg.gamma0})")
     return 0

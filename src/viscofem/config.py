@@ -3,8 +3,8 @@
 The format is deliberately primitive so any tool can read and write it:
 five sections (material, time, mesh, bc, output), one value per line, `#`
 starts a comment. The Dirichlet map g is six numbers, the 2x2 matrix
-row-major followed by the offset. Floats are written with repr, so a
-write/parse round trip reproduces the configuration bit for bit.
+row-major followed by the offset. Floats are written with repr, and
+config_text checks that its text reads back as the configuration, bit for bit.
 
 Every rejection names the offending file, line and key. Unknown sections
 and keys are errors, not warnings: a typo must not silently fall back to a
@@ -13,10 +13,10 @@ default.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .fields import AffineMap, BoundaryData
-from .mesh import GAMMA0_CHOICES, MAX_DIVISIONS, PATTERNS
+from .mesh import GAMMA0_CHOICES, MAX_DIVISIONS, PATTERNS, read_utf8
 from .stepper import MeshSpec, RunConfig, count_steps
 from .tensors import Material, validate_material
 
@@ -46,8 +46,8 @@ def _text_value(section: str, key: str, value: str) -> str:
 
 
 def config_text(cfg: RunConfig) -> str:
-    """Canonical text form of a configuration; parse(config_text(c)) == c.
-    A mesh path or output directory the format cannot hold is a ValueError."""
+    """Canonical text form of a configuration; ValueError unless it reads back
+    as cfg, a ConfigError if the reader rejects it."""
     m = cfg.material
     lines = [
         "# viscofem run configuration",
@@ -66,8 +66,7 @@ def config_text(cfg: RunConfig) -> str:
     if cfg.mesh.path is not None:
         lines.append(f"path = {_text_value('mesh', 'path', cfg.mesh.path)}")
     else:
-        lines.append(f"n = {cfg.mesh.n}")
-        lines.append(f"pattern = {cfg.mesh.pattern}")
+        lines += [f"n = {cfg.mesh.n}", f"pattern = {cfg.mesh.pattern}"]
     lines += [
         "",
         "[bc]",
@@ -81,16 +80,16 @@ def config_text(cfg: RunConfig) -> str:
         f"cadence = {cfg.cadence}",
         "",
     ]
-    return "\n".join(lines)
+    text = "\n".join(lines)
+    back = parse_config_text(text)
+    if back != cfg:
+        raise ValueError("; ".join(f"{k} = {v!r} reads back as {getattr(back, k)!r}"
+                                   for k, v in vars(cfg).items() if getattr(back, k) != v))
+    return text
 
 
 def parse_config(path) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = f.read()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return parse_config_text(raw, origin=str(path))
+    return parse_config_text(read_utf8(path, ConfigError), origin=str(path))
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
@@ -148,10 +147,10 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         if len(parts) != count:
             fail(line_no, f"{key!r} needs {count} numbers, got {len(parts)}")
         try:
-            numbers = np.array([float(p) for p in parts])
+            numbers = [float(p) for p in parts]
         except ValueError:
             fail(line_no, f"{key!r} must be {count} numbers, got {value!r}")
-        if not np.all(np.isfinite(numbers)):
+        if not all(map(math.isfinite, numbers)):
             fail(line_no, f"{key!r} must be {count} finite numbers, got {value!r}")
         return numbers
 
@@ -247,7 +246,7 @@ def preset_config(name: str, alpha: float = 1.0) -> RunConfig:
         return RunConfig(
             t_end=1.0,
             gamma0="top",
-            bc=BoundaryData(g=AffineMap.zero(), q=np.zeros(2), f=np.array([0.0, -1.0])),
+            bc=BoundaryData(g=AffineMap.zero(), q=(0.0, 0.0), f=(0.0, -1.0)),
             outdir="out_example1",
             **base,
         )
@@ -255,11 +254,8 @@ def preset_config(name: str, alpha: float = 1.0) -> RunConfig:
         return RunConfig(
             t_end=2.0,
             gamma0="sides",
-            bc=BoundaryData(
-                g=AffineMap(np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2)),
-                q=np.zeros(2),
-                f=np.zeros(2),
-            ),
+            bc=BoundaryData(g=AffineMap(((1.0, 0.0), (0.0, 0.0)), (0.0, 0.0)),
+                            q=(0.0, 0.0), f=(0.0, 0.0)),
             outdir="out_example2",
             **base,
         )

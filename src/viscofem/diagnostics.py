@@ -216,7 +216,8 @@ def verify_result(result, directions: int = 10, seed: int = 0) -> VerificationRe
     """Structural checks on a finished run (see RunResult in the stepper).
 
     Gradient-flow checks run on the consecutive pairs the run sampled, on the
-    run's own Simulation result.sim; the other checks cover every step.
+    run's own Simulation result.sim; the other checks cover every step. With
+    directions > 0, a run that sampled no pair fails the gradient-flow check.
     """
     sim = result.sim
     messages = []
@@ -242,7 +243,9 @@ def verify_result(result, directions: int = 10, seed: int = 0) -> VerificationRe
 
     rng = np.random.default_rng(seed)
     max_gradient = 0.0
-    gradient_ok = True
+    gradient_ok = directions == 0 or bool(result.sampled_pairs)
+    if not gradient_ok:
+        messages.append("gradient-flow check has nothing to check: the run sampled no step pairs")
     for k, (phi_prev, state) in sorted(result.sampled_pairs.items()):
         gradient = reduced_gradient(sim, state.phi)
         for _ in range(directions):

@@ -13,7 +13,8 @@ stored entries in local dof order.
 
 Boundary data is deliberately time independent: g affine, q and f
 constant. That keeps the load functional fixed over a run, which the energy
-bookkeeping relies on.
+bookkeeping relies on. AffineMap and BoundaryData store their numbers as
+float tuples, the matrix as its two rows, so a configuration is a hashable value.
 """
 
 from __future__ import annotations
@@ -29,21 +30,16 @@ from .mesh import GAMMA0, Mesh, MeshGeometry
 class AffineMap:
     """x -> matrix @ x + offset, the admissible form of Dirichlet data g."""
 
-    matrix: np.ndarray
-    offset: np.ndarray
+    matrix: tuple[tuple[float, float], tuple[float, float]]
+    offset: tuple[float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float).reshape(2, 2))
-        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float).reshape(2))
+        rows = np.asarray(self.matrix, dtype=float).reshape(2, 2).tolist()
+        object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
+        object.__setattr__(self, "offset", _pair(self.offset))
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x @ self.matrix.T + self.offset
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffineMap):
-            return NotImplemented
-        return np.array_equal(self.matrix, other.matrix) and np.array_equal(self.offset, other.offset)
+        return np.asarray(x, dtype=float) @ np.array(self.matrix).T + self.offset
 
     @classmethod
     def zero(cls) -> "AffineMap":
@@ -55,8 +51,8 @@ class AffineMap:
         c = np.asarray(coeffs, dtype=float).reshape(6)
         return cls(c[:4].reshape(2, 2), c[4:])
 
-    def coefficients(self) -> np.ndarray:
-        return np.concatenate([self.matrix.ravel(), self.offset])
+    def coefficients(self) -> tuple[float, ...]:
+        return (*self.matrix[0], *self.matrix[1], *self.offset)
 
 
 @dataclass(frozen=True)
@@ -64,21 +60,16 @@ class BoundaryData:
     """Problem data: Dirichlet map g, traction q on GAMMA1, body force f."""
 
     g: AffineMap
-    q: np.ndarray
-    f: np.ndarray
+    q: tuple[float, float]
+    f: tuple[float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(2))
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=float).reshape(2))
+        object.__setattr__(self, "q", _pair(self.q))
+        object.__setattr__(self, "f", _pair(self.f))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BoundaryData):
-            return NotImplemented
-        return (
-            self.g == other.g
-            and np.array_equal(self.q, other.q)
-            and np.array_equal(self.f, other.f)
-        )
+
+def _pair(values) -> tuple[float, float]:
+    return tuple(np.asarray(values, dtype=float).reshape(2).tolist())
 
 
 @dataclass(frozen=True)

@@ -317,14 +317,19 @@ _SECTIONS = (("nodes", ("number",) * 2), ("triangles", ("index",) * 3),
 _EXPECTED = {"number": "a number", "index": "an integer", "label": "a boundary label"}
 
 
+def read_utf8(path, error: type[ValueError]) -> str:
+    """The text of the file at path; error naming path and byte if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_mesh(path) -> Mesh:
     """Parse the text format, reorient clockwise triangles, validate."""
     path = str(path)
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as exc:
-        raise MeshFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    text = read_utf8(path, MeshFormatError)
     # a comment ends at "\n", the only line end that line numbers count
     text = re.sub("#[^\n]*", "", text)
     tokens = text.split()

@@ -49,8 +49,8 @@ the level's StepReport; RunResult's series are its columns (RunResult lists
 their order).
 
 Each edge-connected group of triangles needs two Dirichlet nodes, or its
-rigid motions are not fixed and the plain system is singular; Simulation
-rejects a mesh with such a group before anything is factored.
+rigid motions are not fixed and the plain system is singular; prepare_mesh,
+for Simulation and check-config, rejects a mesh with such a group.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import numpy as np
 
 from . import diagnostics
 from .assembly import SparseSPD, assemble_stiffness, load_vector, tensor_load
-from .fields import BoundaryData, build_dirichlet, strain_field, zero_tensor_field
+from .fields import BoundaryData, DirichletSet, build_dirichlet, strain_field, zero_tensor_field
 from .mesh import (Mesh, MeshGeometry, build_unit_square, classify_boundary, edge_groups,
                    load_mesh)
 from .solver import SolveReport, SolverError, factorize, solve_spd
@@ -191,12 +191,7 @@ class Simulation:
         self.config = cfg
         self.material = cfg.material
         self.step_params = StepParams.from_material(cfg.material, cfg.tau)
-        mesh = classify_boundary(cfg.mesh.build(), cfg.gamma0)
-        self.mesh = mesh
-        self.geom = MeshGeometry(mesh)
-
-        self.dirichlet = build_dirichlet(mesh, cfg.bc.g)
-        _check_held(mesh, self.dirichlet.nodes)
+        self.mesh, self.geom, self.dirichlet = prepare_mesh(cfg)
         self.load = load_vector(self.geom, cfg.bc)
         stiffness = assemble_stiffness(self.geom, self.dirichlet)
         self.system_plain = stiffness.system(self.material)
@@ -324,12 +319,17 @@ def equilibrium_solve(sim: Simulation, phi) -> tuple[np.ndarray, Stress, SolveRe
     return sim._equilibrium(np.asarray(phi, dtype=float), sim.system_plain)
 
 
-def _check_held(mesh: Mesh, dirichlet_nodes: np.ndarray) -> None:
-    """Raise ValueError if an edge-connected group of triangles has fewer
-    than two Dirichlet nodes, naming one of its other nodes."""
+def prepare_mesh(cfg: RunConfig) -> tuple[Mesh, MeshGeometry, DirichletSet]:
+    """The mesh of cfg classified by its gamma0, its geometry and its Dirichlet
+    set: the checks of mesh and boundary a Simulation makes before it assembles.
+    ValueError if an edge-connected group of triangles has fewer than two
+    Dirichlet nodes, naming one of its other nodes."""
+    mesh = classify_boundary(cfg.mesh.build(), cfg.gamma0)
+    geom = MeshGeometry(mesh)
+    dirichlet = build_dirichlet(mesh, cfg.bc.g)
     group = edge_groups(mesh)
     fixed = np.zeros(mesh.n_nodes, dtype=bool)
-    fixed[dirichlet_nodes] = True
+    fixed[dirichlet.nodes] = True
     # distinct (group, Dirichlet node) pairs, counted per group
     pairs = np.unique((group[:, None] * mesh.n_nodes + mesh.triangles)[fixed[mesh.triangles]])
     count = np.bincount(pairs // mesh.n_nodes, minlength=mesh.n_triangles)
@@ -342,3 +342,4 @@ def _check_held(mesh: Mesh, dirichlet_nodes: np.ndarray) -> None:
             f"the mesh part at node {int(part[~fixed[part]][0])} (triangle {t} and the "
             f"triangles edge-connected to it) has {count[t]} Dirichlet node(s); at least "
             f"two are needed to hold it")
+    return mesh, geom, dirichlet

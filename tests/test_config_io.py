@@ -20,10 +20,12 @@ from viscofem.config import (
     preset_config,
 )
 from viscofem.cli import main
-from viscofem.mesh import MAX_DIVISIONS, MeshGeometry
+from viscofem.fields import AffineMap, BoundaryData
+from viscofem.mesh import GAMMA0_CHOICES, MAX_DIVISIONS, PATTERNS, MeshGeometry
 from viscofem import outputs
 from viscofem.outputs import write_outputs
-from viscofem.stepper import MeshSpec, Simulation
+from viscofem.stepper import MeshSpec, RunConfig, Simulation
+from viscofem.tensors import Material
 
 from oracles import read_vtk, stress_of, write_config
 from test_stepper import BOW_TIE_MESH, PULL, TWO_SQUARES_MESH, make_config
@@ -78,7 +80,7 @@ class TestParsing:
     def test_comments_and_blank_lines_ignored(self):
         noisy = "# leading comment\n\n" + edited().replace(
             "mu = 1.0", "mu = 1.0   # shear modulus")
-        assert config_text(parse_config_text(noisy)) == config_text(parse_config_text(edited()))
+        assert parse_config_text(noisy) == parse_config_text(edited())
 
     # str.splitlines() breaks lines at each of these; the format breaks only at "\n"
     @pytest.mark.parametrize("char", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
@@ -97,16 +99,15 @@ class TestParsing:
         cfg = parse_config_text("\n".join(keep))
         assert cfg.outdir == "out"
         assert cfg.cadence == 10
-        assert np.all(cfg.bc.g.coefficients() == 0.0)
-        assert np.all(cfg.bc.q == 0.0)
-        assert np.all(cfg.bc.f == 0.0)
+        assert cfg.bc.g.coefficients() == (0.0,) * 6
+        assert cfg.bc.q == (0.0, 0.0)
+        assert cfg.bc.f == (0.0, 0.0)
 
     def test_file_round_trip(self, tmp_path):
         cfg = preset_config("example2", alpha=2.0)
         path = tmp_path / "run.cfg"
         write_config(cfg, path)
-        again = parse_config(path)
-        assert config_text(again) == config_text(cfg)
+        assert parse_config(path) == cfg
 
     @pytest.mark.parametrize("value", ["out#1", " out", "out ", "\tout", "a\nb", "a\rb", ""])
     @pytest.mark.parametrize("section,key", [("output", "directory"), ("mesh", "path")])
@@ -126,6 +127,28 @@ class TestParsing:
         assert parse_config_text(config_text(cfg)).outdir == value
         cfg = replace(cfg, mesh=MeshSpec(path=value))
         assert parse_config_text(config_text(cfg)).mesh.path == value
+
+    # a ConfigError from the reader, or a plain ValueError for a choice that
+    # would read back without its whitespace
+    @pytest.mark.parametrize("change,error", [
+        (dict(cadence=-1), ConfigError),
+        (dict(bc=BoundaryData(g=AffineMap.zero(), q=(float("nan"), 0.0), f=(0.0, 0.0))), ConfigError),
+        (dict(mesh=MeshSpec(n=0)), ConfigError),
+        (dict(mesh=MeshSpec(n=3, pattern="diag")), ConfigError),
+        (dict(gamma0="file"), ConfigError),
+        (dict(gamma0="nowhere"), ConfigError),
+        (dict(material=Material(lam=1.0, mu=1.0, eta=1.0, alpha=-1.0)), ConfigError),
+        (dict(tau=0.1), ConfigError),
+        (dict(mesh=MeshSpec(n=3, pattern="right ")), ValueError),
+        (dict(gamma0="top "), ValueError),
+    ])
+    def test_text_that_does_not_read_back_rejected(self, change, error):
+        cfg = replace(make_config(n=3), **change)
+        with pytest.raises(error) as err:
+            config_text(cfg)
+        if error is ValueError:
+            assert not isinstance(err.value, ConfigError)
+            assert "reads back as" in str(err.value)
 
     def test_origin_in_errors(self, tmp_path):
         path = tmp_path / "broken.cfg"
@@ -200,16 +223,26 @@ class TestPresets:
         assert (cfg.gamma0, cfg.t_end, cfg.tau) == ("top", 1.0, 0.01)
         assert cfg.material.alpha == 0.0
         assert (cfg.mesh.n, cfg.mesh.pattern) == (40, "alternating")
-        assert_allclose(cfg.bc.f, [0.0, -1.0])
-        assert np.all(cfg.bc.g.coefficients() == 0.0)
+        assert cfg.bc.f == (0.0, -1.0)
+        assert cfg.bc.g.coefficients() == (0.0,) * 6
         assert cfg.outdir == "out_example1"
         assert cfg.n_steps == 100
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_preset_is_an_immutable_value(self, name):
+        cfg = preset_config(name)
+        assert hash(cfg) == hash(preset_config(name))
+        with pytest.raises(TypeError):
+            cfg.bc.f[1] = 5.0
+        with pytest.raises(TypeError):
+            cfg.bc.g.matrix[0][0] = 5.0
+        assert cfg == preset_config(name)
 
     def test_relaxation_preset(self):
         cfg = preset_config("example2")
         assert (cfg.gamma0, cfg.t_end) == ("sides", 2.0)
         assert cfg.bc.g == PULL
-        assert np.all(cfg.bc.f == 0.0)
+        assert cfg.bc.f == (0.0, 0.0)
         assert cfg.outdir == "out_example2"
         assert cfg.n_steps == 200
 
@@ -217,7 +250,9 @@ class TestPresets:
     def test_text_round_trip(self, name):
         cfg = preset_config(name, alpha=2.0)
         text = config_text(cfg)
-        assert config_text(parse_config_text(text)) == text
+        again = parse_config_text(text)
+        assert again == cfg and hash(again) == hash(cfg)
+        assert config_text(again) == text
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="example1 or example2"):
@@ -347,6 +382,17 @@ class TestOutputFiles:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
+def rejection(capsys, path, outdir) -> str:
+    """The one error line that solve into outdir and check-config both print
+    for the configuration at path; both must exit 1."""
+    errors = []
+    for args in (["solve", "--config", str(path), "--out", str(outdir)], ["check-config", str(path)]):
+        assert main(args) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].count("\n") == 1
+    return errors[0]
+
+
 def write_small_config(tmp_path, **kw):
     cfg = make_config(n=4, gamma0="sides", g=PULL, alpha=1.0, tau=0.01,
                       t_end=0.03, **kw)
@@ -435,10 +481,8 @@ class TestCommandLine:
         )
         path = tmp_path / "stray.cfg"
         path.write_text(edited(replace=(10, f"path = {mesh_path}")))
-        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
+        err = rejection(capsys, path, tmp_path / "o")
         assert err.startswith("error: ") and "node 3 belongs to no triangle" in err
-        assert err.count("\n") == 1
 
     def test_solve_rejects_non_finite_node(self, capsys, tmp_path):
         mesh_path = tmp_path / "nan.mesh"
@@ -449,10 +493,8 @@ class TestCommandLine:
         )
         path = tmp_path / "nan.cfg"
         path.write_text(edited(replace=(10, f"path = {mesh_path}")))
-        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
+        err = rejection(capsys, path, tmp_path / "o")
         assert err.startswith("error: ") and "nan.mesh:4: expected a finite number" in err
-        assert err.count("\n") == 1
 
     def test_solve_rejects_index_beyond_int64(self, capsys, tmp_path):
         mesh_path = tmp_path / "huge.mesh"
@@ -463,10 +505,8 @@ class TestCommandLine:
         )
         path = tmp_path / "huge.cfg"
         path.write_text(edited(replace=(10, f"path = {mesh_path}")))
-        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
+        err = rejection(capsys, path, tmp_path / "o")
         assert err.startswith(f"error: {mesh_path}:6: integer {2**63} is too large")
-        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("bad", ["config", "mesh"])
     def test_solve_names_non_utf8_file(self, capsys, tmp_path, bad):
@@ -476,8 +516,7 @@ class TestCommandLine:
         path = tmp_path / "run.cfg"
         path.write_bytes(b"# \xff\n" * (bad == "config")
                          + edited(replace=(10, f"path = {mesh_path}")).encode())
-        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
+        err = rejection(capsys, path, tmp_path / "o")
         named = path if bad == "config" else mesh_path
         assert err == f"error: {named}: not UTF-8 text (invalid start byte at byte 2)\n"
 
@@ -488,12 +527,38 @@ class TestCommandLine:
         path = tmp_path / "loose.cfg"
         path.write_text(edited(replace=(10, f"path = {mesh_path}"))
                         .replace("gamma0 = sides", "gamma0 = file"))
-        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
+        err = rejection(capsys, path, tmp_path / "o")
         assert err.startswith(f"error: the mesh part at node {node} ")
         assert "at least two are needed" in err
-        assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mesh_text,fragment", [
+        (None, "No such file"),
+        ("nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 3\n0 1 0\n",
+         "unexpected end of file"),
+    ])
+    def test_solve_rejects_unreadable_mesh_file(self, capsys, tmp_path, mesh_text, fragment):
+        mesh_path = tmp_path / "m.mesh"
+        if mesh_text is not None:
+            mesh_path.write_text(mesh_text)
+        path = tmp_path / "m.cfg"
+        path.write_text(edited(replace=(10, f"path = {mesh_path}"))
+                        .replace("gamma0 = sides", "gamma0 = file"))
+        err = rejection(capsys, path, tmp_path / "o")
+        assert err.startswith("error: ") and fragment in err
+
+    @pytest.mark.parametrize("out", ["file", ""])
+    def test_solve_rejects_output_directory_before_the_run(self, capsys, tmp_path, monkeypatch, out):
+        path = write_small_config(tmp_path)
+        if out == "file":
+            out = tmp_path / "taken"
+            out.write_text("")
+        runs = []
+        monkeypatch.setattr(Simulation, "run", lambda *args, **kw: runs.append(args))
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+        assert runs == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
     def test_check_config_missing_file(self, capsys, tmp_path):
         assert main(["check-config", str(tmp_path / "absent.cfg")]) == 1
@@ -575,3 +640,74 @@ class TestMalformedConfigs:
         path.write_bytes(data)
         with suppress(ConfigError):
             parse_config(path)
+
+
+# ---------------------------------------------------------------------------
+# config_text (hypothesis): a configuration reads back from its text, or the
+# text is refused
+# ---------------------------------------------------------------------------
+
+
+ANY_FLOAT = st.one_of(st.floats(), st.integers(-3, 3))
+ANY_TEXT = st.one_of(st.text(max_size=6), st.sampled_from(["", " out", "top ", "a#b", "a\nb"]))
+NAME = st.text(alphabet="ab/._-", min_size=1, max_size=6)
+PARTS = ("material", "time", "mesh", "gamma0", "bc", "output")
+
+
+def any_choice(choices):
+    """One of choices, maybe padded with whitespace the reader strips, or any text."""
+    padded = st.sampled_from(choices).flatmap(
+        lambda c: st.sampled_from([c, f" {c}", f"{c} ", f"{c}\t"]))
+    return st.one_of(padded, ANY_TEXT)
+
+
+@st.composite
+def run_configs(draw):
+    """(cfg, wild): a RunConfig of valid values, except that the parts named
+    in wild (at most two) take any value of their type."""
+    wild = draw(st.sets(st.sampled_from(PARTS), max_size=2))
+
+    def pick(part, valid, anything):
+        return draw(anything if part in wild else valid)
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.floats(0.1, 10.0)
+    return RunConfig(
+        material=pick("material", st.builds(Material, lam=st.floats(0.0, 10.0), mu=positive,
+                                            eta=positive, alpha=st.floats(0.0, 10.0)),
+                      st.builds(Material, lam=ANY_FLOAT, mu=ANY_FLOAT, eta=ANY_FLOAT,
+                                alpha=ANY_FLOAT)),
+        tau=pick("time", st.sampled_from([0.01, 0.1]), ANY_FLOAT),
+        t_end=pick("time", st.sampled_from([0.5, 1.0]), ANY_FLOAT),
+        mesh=pick("mesh", st.one_of(st.builds(MeshSpec, n=st.integers(1, MAX_DIVISIONS),
+                                              pattern=st.sampled_from(PATTERNS)),
+                                    st.builds(MeshSpec, path=NAME)),
+                  st.builds(MeshSpec, n=st.one_of(st.none(), st.integers(-2, 50),
+                                                  st.integers(MAX_DIVISIONS, 2 * MAX_DIVISIONS)),
+                            pattern=any_choice(PATTERNS), path=st.one_of(st.none(), NAME, ANY_TEXT))),
+        gamma0=pick("gamma0", st.sampled_from([c for c in GAMMA0_CHOICES if c != "file"]),
+                    any_choice(GAMMA0_CHOICES)),
+        bc=pick("bc", st.builds(BoundaryData, g=st.builds(AffineMap.from_coefficients,
+                                                          st.lists(finite, min_size=6, max_size=6)),
+                                q=st.tuples(finite, finite), f=st.tuples(finite, finite)),
+                st.builds(BoundaryData, g=st.builds(AffineMap.from_coefficients,
+                                                    st.lists(ANY_FLOAT, min_size=6, max_size=6)),
+                          q=st.tuples(ANY_FLOAT, ANY_FLOAT), f=st.tuples(ANY_FLOAT, ANY_FLOAT))),
+        outdir=pick("output", NAME, ANY_TEXT),
+        cadence=pick("output", st.integers(0, 50),
+                     st.one_of(st.integers(-3, 3), st.sampled_from([2.0, True]))),
+    ), wild
+
+
+class TestConfigTextReadsBack:
+    @FUZZ
+    @given(drawn=run_configs())
+    def test_reads_back_or_raises(self, drawn):
+        cfg, wild = drawn
+        try:
+            text = config_text(cfg)
+        except ValueError:
+            assert wild, "config_text refused a valid configuration"
+            return
+        again = parse_config_text(text)
+        assert again == cfg and hash(again) == hash(cfg)

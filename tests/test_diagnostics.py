@@ -274,6 +274,15 @@ class TestVerifyResult:
         assert report.max_identity <= 1e-8
         assert report.max_gradient <= 1e-4
 
+    @pytest.mark.parametrize("directions", [0, 2])
+    def test_run_without_sampled_pairs(self, directions):
+        cfg = make_config(n=4, gamma0="sides", g=PULL, alpha=1.0, t_end=0.05)
+        report = verify_result(Simulation(cfg).run(), directions=directions)
+        assert report.gradient_ok == report.ok == (directions == 0)
+        assert report.max_gradient == 0.0
+        assert report.messages == ([] if directions == 0 else [
+            "gradient-flow check has nothing to check: the run sampled no step pairs"])
+
     def test_mesh_file_run_passes(self, tmp_path):
         # an unstructured polygon, not the unit square, read from a file
         # with its own labels: verify's Simulation runs on the run's mesh

@@ -121,10 +121,13 @@ class TestData:
         assert_allclose(g(pts), [[1.0, 0.0], [3.0, -2.0]], atol=0)
 
     def test_equality_semantics(self):
-        a = BoundaryData(g=AffineMap.zero(), q=[0.0, 0.0], f=[0.0, -1.0])
-        b = BoundaryData(g=AffineMap.zero(), q=[0.0, 0.0], f=[0.0, -1.0])
+        f = np.array([0.0, -1.0])
+        a = BoundaryData(g=AffineMap.zero(), q=[0.0, 0.0], f=f)
+        b = BoundaryData(g=AffineMap([[0, 0], [0, 0]], (0, 0)), q=np.zeros(2), f=(0.0, -1.0))
         c = BoundaryData(g=AffineMap.zero(), q=[0.0, 0.0], f=[0.0, 0.0])
-        assert a == b and a != c
+        assert a == b and hash(a) == hash(b) and a != c
+        f[1] = 5.0  # the data holds its own values, not the caller's array
+        assert a.f == (0.0, -1.0) and a == b
         assert homogeneous_data() == homogeneous_data()
 
     def test_zero_fields_shapes(self):
