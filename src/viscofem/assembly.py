@@ -19,9 +19,10 @@ then 2), then the traction weights of the start points and of the end
 points, so its sums are bitwise those of per-vertex and per-endpoint
 accumulation.
 
-The stiffness of an isotropic operator with Lame pair (l, m) is
-l * K_tr + 2*m * K_dev. The reference matrices are the stiffnesses of the
-pairs (1, 0) and (0, 1/2): elementwise area * tr(B_i) * tr(B_j) and
+The stiffness of an isotropic operator with matrix M = isotropic(l, m) is
+l * K_tr + 2*m * K_dev, read off M as M[0, 1] * K_tr + M[2, 2] * K_dev.
+The reference matrices are the stiffnesses of isotropic(1, 0) and
+isotropic(0, 1/2): elementwise area * tr(B_i) * tr(B_j) and
 area * B_i : B_j for the basis strains B_i. Both are read off S's data:
 tr(B_i) is the gradient entry of dof i's xx or yy row, and B_i : B_j is
 the product of the xx entries (two x dofs) or of the yy entries (two y
@@ -63,7 +64,7 @@ import numpy as np
 from .csr import CSR
 from .fields import BoundaryData, DirichletSet
 from .mesh import GAMMA1, MeshGeometry
-from .tensors import DDOT_WEIGHTS, Lame, Material
+from .tensors import DDOT_WEIGHTS, isotropic
 
 # entries at or below this multiple of the largest one are roundoff
 _ROUNDOFF = 8.0 * np.finfo(float).eps
@@ -110,9 +111,13 @@ class Stiffness:
     cleared: np.ndarray  # per stored entry: in a constrained row or column
     pinned: np.ndarray   # slots of the constrained diagonal entries
 
-    def system(self, pair: Lame | Material) -> SparseSPD:
-        """Constrained stiffness of a Lame pair."""
-        data = pair.lam * self.trace + 2.0 * pair.mu * self.dev
+    def system(self, M: np.ndarray) -> SparseSPD:
+        """Constrained stiffness of the isotropic operator with matrix M;
+        ValueError if M is not a matrix isotropic() returns."""
+        M = np.asarray(M, dtype=float)
+        if M.shape != (3, 3) or not np.array_equal(M, isotropic(M[0, 1], M[2, 2] / 2.0)):
+            raise ValueError(f"not the matrix of an isotropic operator: {M.tolist()}")
+        data = M[0, 1] * self.trace + M[2, 2] * self.dev
         data[np.abs(data) <= _ROUNDOFF * np.abs(data).max()] = 0.0
         ds = self.dirichlet
         lift = np.zeros(len(self.indptr) - 1)

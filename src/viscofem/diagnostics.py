@@ -217,8 +217,11 @@ def verify_result(result, directions: int = 10, seed: int = 0) -> VerificationRe
 
     Gradient-flow checks run on the consecutive pairs the run sampled, on the
     run's own Simulation result.sim; the other checks cover every step. With
-    directions > 0, a run that sampled no pair fails the gradient-flow check.
+    directions > 0, a run that sampled no pair fails the gradient-flow check;
+    directions < 0 is a ValueError.
     """
+    if directions < 0:
+        raise ValueError(f"directions must be >= 0, got {directions}")
     sim = result.sim
     messages = []
 

@@ -56,6 +56,8 @@ for Simulation and check-config, rejects a mesh with such a group.
 from __future__ import annotations
 
 import math
+import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,11 +93,16 @@ class StepReport:
 
 @dataclass(frozen=True)
 class MeshSpec:
-    """Either a structured n-by-n unit square or a mesh file on disk."""
+    """Either a structured n-by-n unit square or a mesh file on disk; a
+    path-like path is held as its os.fspath."""
 
     n: int | None = None
     pattern: str = "alternating"
     path: str | None = None
+
+    def __post_init__(self):
+        if self.path is not None:
+            object.__setattr__(self, "path", os.fspath(self.path))
 
     def build(self) -> Mesh:
         if (self.n is None) == (self.path is None):
@@ -107,6 +114,8 @@ class MeshSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run; a path-like outdir is held as its os.fspath."""
+
     material: Material
     tau: float
     t_end: float
@@ -115,6 +124,9 @@ class RunConfig:
     bc: BoundaryData
     outdir: str = "out"
     cadence: int = 10
+
+    def __post_init__(self):
+        object.__setattr__(self, "outdir", os.fspath(self.outdir))
 
     @property
     def n_steps(self) -> int:
@@ -194,7 +206,7 @@ class Simulation:
         self.mesh, self.geom, self.dirichlet = prepare_mesh(cfg)
         self.load = load_vector(self.geom, cfg.bc)
         stiffness = assemble_stiffness(self.geom, self.dirichlet)
-        self.system_plain = stiffness.system(self.material)
+        self.system_plain = stiffness.system(self.step_params.C)
         self.system_eff = stiffness.system(self.step_params.condensed)
         self._factor = None  # (system, its factor) of the last system factored
         self._last = None    # (state, its Stress) of the last state produced
@@ -277,7 +289,14 @@ class Simulation:
     def run(self, phi0: np.ndarray | None = None, sample_steps=()) -> RunResult:
         cfg = self.config
         n = cfg.n_steps
-        sample = {int(k) for k in sample_steps}
+        sample, not_int = set(), []
+        for k in sample_steps:
+            try:
+                sample.add(operator.index(k))
+            except TypeError:
+                not_int.append(k)
+        if not_int:
+            raise ValueError(f"sample steps {not_int} are not integers")
         bad = [k for k in sample if not 1 <= k <= n]
         if bad:
             raise ValueError(f"sample steps {sorted(bad)} outside 1..{n}")

@@ -30,8 +30,6 @@ from viscofem.fields import AffineMap, BoundaryData, DirichletSet, strain_field
 from viscofem.mesh import GAMMA0, GAMMA1, Mesh
 from viscofem.tensors import Material, isotropic, stress
 
-DIM = 2
-
 # the Dirichlet set of no node: a Stiffness built with it is unconstrained
 NO_DIRICHLET = DirichletSet(nodes=np.empty(0, dtype=np.int64), values=np.empty((0, 2)))
 
@@ -107,12 +105,12 @@ def update_prev_matrix(lam, mu, eta, alpha, tau):
     return rate * step_inverse_matrix(lam, mu, eta, alpha, tau)
 
 
-def apply_C(pair, X) -> np.ndarray:
-    """The isotropic operator of a Lame pair, componentwise:
+def apply_C(lam, mu, X) -> np.ndarray:
+    """The isotropic operator of the Lame pair (lam, mu), componentwise:
     lam*tr(X)*I + 2*mu*X on (..., 3) arrays."""
     X = np.asarray(X, dtype=float)
-    out = 2.0 * pair.mu * X
-    t = pair.lam * (X[..., 0] + X[..., 1])
+    out = 2.0 * mu * X
+    t = lam * (X[..., 0] + X[..., 1])
     out[..., 0] += t
     out[..., 1] += t
     return out
@@ -120,7 +118,7 @@ def apply_C(pair, X) -> np.ndarray:
 
 def stress_of(geom, m, u, phi):
     """The Stress of the state (u, phi) of material m, formed from scratch."""
-    return stress(isotropic(m), strain_field(geom, u), phi)
+    return stress(isotropic(m.lam, m.mu), strain_field(geom, u), phi)
 
 
 def to_float(matrix) -> np.ndarray:

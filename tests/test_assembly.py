@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 from viscofem.assembly import assemble_stiffness, load_vector, tensor_load
 from viscofem.fields import AffineMap, BoundaryData, build_dirichlet
 from viscofem.mesh import GAMMA0, GAMMA1, Mesh, MeshGeometry, build_unit_square, classify_boundary
-from viscofem.tensors import Material, StepParams
+from viscofem.tensors import Material, StepParams, isotropic
 
 from oracles import (
     NO_DIRICHLET,
@@ -34,11 +34,12 @@ from oracles import (
 )
 
 UNIT = Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0)
+C_UNIT = isotropic(1.0, 1.0)  # the elasticity of UNIT
 
 
-def stiffness_matrix(geom, pair):
-    """Unconstrained stiffness of a Lame pair."""
-    return as_csr(assemble_stiffness(geom, NO_DIRICHLET).system(pair))
+def stiffness_matrix(geom, M):
+    """Unconstrained stiffness of the isotropic operator with matrix M."""
+    return as_csr(assemble_stiffness(geom, NO_DIRICHLET).system(M))
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +123,14 @@ class TestElementMatrix:
     def test_reference_triangle_elastic(self):
         verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
         geom = MeshGeometry(single_triangle_mesh(verts))
-        A = stiffness_matrix(geom, UNIT).toarray()
+        A = stiffness_matrix(geom, C_UNIT).toarray()
         K = symbolic_element_matrix(verts, sp.Integer(1), sp.Integer(1))
         assert_allclose(A, K, rtol=1e-13, atol=1e-13)
 
     def test_skewed_triangle_elastic(self):
         verts = [(0.2, -0.1), (1.3, 0.4), (0.5, 1.7)]
-        m = Material(lam=2.5, mu=0.7, eta=1.0, alpha=0.0)
         geom = MeshGeometry(single_triangle_mesh(verts))
-        A = stiffness_matrix(geom, m).toarray()
+        A = stiffness_matrix(geom, isotropic(2.5, 0.7)).toarray()
         K = symbolic_element_matrix(verts, sp.Rational(5, 2), sp.Rational(7, 10))
         assert_allclose(A, K, rtol=1e-12, atol=1e-12)
 
@@ -176,8 +176,8 @@ class TestStiffnessProperties:
             mesh = classify_boundary(build_unit_square(5, pattern=pattern), "top")
         geom = MeshGeometry(mesh)
         ds = build_dirichlet(mesh, AffineMap.zero())
-        for pair in (UNIT, StepParams.from_material(UNIT, tau=0.01).condensed):
-            for A in (stiffness_matrix(geom, pair), as_csr(assemble_stiffness(geom, ds).system(pair))):
+        for M in (C_UNIT, StepParams.from_material(UNIT, tau=0.01).condensed):
+            for A in (stiffness_matrix(geom, M), as_csr(assemble_stiffness(geom, ds).system(M))):
                 assert (A != A.T).nnz == 0
                 # roundoff-level entries are not stored, nor exact zeros
                 assert np.all(A.data != 0.0)
@@ -185,7 +185,7 @@ class TestStiffnessProperties:
     def test_rigid_motions_in_kernel(self):
         mesh = build_unit_square(4, pattern="left")
         geom = MeshGeometry(mesh)
-        A = stiffness_matrix(geom, UNIT)
+        A = stiffness_matrix(geom, C_UNIT)
         translation_x = interpolate(mesh, AffineMap.zero()) + np.array([1.0, 0.0])
         translation_y = interpolate(mesh, AffineMap.zero()) + np.array([0.0, 1.0])
         rotation = interpolate(mesh, AffineMap([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0]))
@@ -195,7 +195,7 @@ class TestStiffnessProperties:
     def test_positive_semidefinite_with_three_dim_kernel(self):
         mesh = build_unit_square(2)
         geom = MeshGeometry(mesh)
-        A = stiffness_matrix(geom, UNIT).toarray()
+        A = stiffness_matrix(geom, C_UNIT).toarray()
         eigs = np.linalg.eigvalsh(A)
         assert eigs[:3] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
         assert np.all(eigs[3:] > 1e-8)
@@ -274,11 +274,30 @@ class TestLoads:
         assert rhs @ v.ravel() == pytest.approx(exact, rel=1e-12)
 
 
+class TestIsotropicOperatorsOnly:
+    @pytest.mark.parametrize("entry,value", [((0, 2), 0.5), ((2, 0), 0.5), ((0, 0), 3.5),
+                                             ((1, 1), 2.5), ((1, 0), 1.5), ((2, 2), np.nan)])
+    def test_non_isotropic_matrix_rejected(self, entry, value):
+        # an off-diagonal coupling to xy, M[0, 0] or M[1, 1] not M[0, 1] + M[2, 2],
+        # M not symmetric, or not finite
+        stiffness = assemble_stiffness(MeshGeometry(build_unit_square(2)), NO_DIRICHLET)
+        M = C_UNIT.copy()
+        M[entry] = value
+        with pytest.raises(ValueError, match="not the matrix of an isotropic operator"):
+            stiffness.system(M)
+
+    @pytest.mark.parametrize("M", [np.eye(2), C_UNIT.ravel()])
+    def test_wrong_shape_rejected(self, M):
+        stiffness = assemble_stiffness(MeshGeometry(build_unit_square(2)), NO_DIRICHLET)
+        with pytest.raises(ValueError, match="not the matrix of an isotropic operator"):
+            stiffness.system(M)
+
+
 class TestDirichletElimination:
     def constrained(self, mesh, g=AffineMap.zero()):
         geom = MeshGeometry(mesh)
         ds = build_dirichlet(mesh, g)
-        return geom, ds, assemble_stiffness(geom, ds).system(UNIT)
+        return geom, ds, assemble_stiffness(geom, ds).system(C_UNIT)
 
     def test_all_constrained_gives_identity(self):
         mesh = classify_boundary(build_unit_square(1, pattern="right"), "all")
@@ -306,7 +325,7 @@ class TestDirichletElimination:
         assert_allclose(dense[np.ix_(free, ds.dofs)], 0.0, atol=0)
         assert_allclose(dense[ds.dofs, ds.dofs], 1.0, atol=0)
         # the free block is the unconstrained matrix's
-        full = stiffness_matrix(geom, UNIT).toarray()
+        full = stiffness_matrix(geom, C_UNIT).toarray()
         assert_allclose(dense[np.ix_(free, free)], full[np.ix_(free, free)], atol=0)
 
     def test_column_action_moves_lift_to_rhs(self):
@@ -320,7 +339,7 @@ class TestDirichletElimination:
         lift = np.zeros(geom.n_dofs)
         lift[ds.dofs] = ds.flat_values
         free = np.setdiff1d(np.arange(geom.n_dofs), ds.dofs)
-        expected = raw[free] - (stiffness_matrix(geom, UNIT) @ lift)[free]
+        expected = raw[free] - (stiffness_matrix(geom, C_UNIT) @ lift)[free]
         assert_allclose(rhs[free], expected, atol=0)
         assert_allclose(rhs[ds.dofs], ds.flat_values, atol=0)
         # the load handed in is left as it was

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import suppress
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,15 +20,18 @@ from viscofem.config import (
     parse_config_text,
     preset_config,
 )
+import viscofem.diagnostics
 from viscofem.cli import main
+from viscofem.diagnostics import VerificationReport
 from viscofem.fields import AffineMap, BoundaryData
-from viscofem.mesh import GAMMA0_CHOICES, MAX_DIVISIONS, PATTERNS, MeshGeometry
+from viscofem.mesh import (GAMMA0_CHOICES, MAX_DIVISIONS, PATTERNS, MeshGeometry, build_unit_square,
+                           classify_boundary)
 from viscofem import outputs
 from viscofem.outputs import write_outputs
 from viscofem.stepper import MeshSpec, RunConfig, Simulation
 from viscofem.tensors import Material
 
-from oracles import read_vtk, stress_of, write_config
+from oracles import read_vtk, save_mesh, stress_of, write_config
 from test_stepper import BOW_TIE_MESH, PULL, TWO_SQUARES_MESH, make_config
 
 BASE_LINES = [
@@ -127,6 +131,13 @@ class TestParsing:
         assert parse_config_text(config_text(cfg)).outdir == value
         cfg = replace(cfg, mesh=MeshSpec(path=value))
         assert parse_config_text(config_text(cfg)).mesh.path == value
+
+    def test_path_likes_held_as_text(self):
+        cfg = make_config(n=3)
+        assert config_text(replace(cfg, outdir=Path("out"))) == config_text(replace(cfg, outdir="out"))
+        assert (config_text(replace(cfg, mesh=MeshSpec(path=Path("m.txt"))))
+                == config_text(replace(cfg, mesh=MeshSpec(path="m.txt"))))
+        assert MeshSpec(path=Path("m.txt")) == MeshSpec(path="m.txt")
 
     # a ConfigError from the reader, or a plain ValueError for a choice that
     # would read back without its whitespace
@@ -337,6 +348,14 @@ class TestOutputFiles:
         assert "dirichlet boundary: sides" in text
         assert f"final energy: {small_result.energy[-1]:.12e}" in text
         assert f"max solve backward error: {small_result.backward_error.max():.3e}" in text
+
+    def test_summary_names_the_mesh_file(self, tmp_path):
+        path = tmp_path / "square.mesh"
+        save_mesh(classify_boundary(build_unit_square(3), "top"), path)
+        cfg = replace(make_config(n=3, t_end=0.02), mesh=MeshSpec(path=path), gamma0="file")
+        write_outputs(Simulation(cfg).run(), tmp_path / "out")
+        text = (tmp_path / "out" / "summary.txt").read_text()
+        assert f"\nmesh: file {path} (16 nodes, 18 triangles)\n" in text
 
     def test_outputs_are_deterministic(self, small_result, tmp_path):
         first = tmp_path / "a"
@@ -590,6 +609,19 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "verify: monotone=ok identity=ok" in out
         assert "gradient-flow=ok" in out
+
+    def test_solve_verify_failure_exits_1(self, capsys, tmp_path, monkeypatch):
+        failing = VerificationReport(
+            monotone_ok=True, identity_ok=True, scheme_ok=True, gradient_ok=False,
+            max_identity=0.0, max_scheme=0.0, max_gradient=0.5,
+            messages=["gradient-flow check failed at step 2: 5.000e-01"])
+        monkeypatch.setattr(viscofem.diagnostics, "verify_result", lambda result: failing)
+        path = write_small_config(tmp_path)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert "gradient-flow=FAIL (max 5.000e-01)" in captured.out
+        assert captured.err == "verify: gradient-flow check failed at step 2: 5.000e-01\n"
 
     def test_solve_bad_config_fails(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -331,6 +331,23 @@ class TestVerifyResult:
         for f in fields(report):
             assert repr(getattr(report, f.name)) == repr(getattr(fresh, f.name)), f.name
 
+    def test_negative_directions_rejected(self):
+        with pytest.raises(ValueError, match="directions must be >= 0, got -3"):
+            verify_result(self.clean_result(), directions=-3)
+
+    def test_pair_that_is_not_a_step_is_flagged(self):
+        # only the gradient-flow check reads the sampled pairs
+        result = self.clean_result()
+        pairs = dict(result.sampled_pairs)
+        phi_prev, state = pairs[3]
+        pairs[3] = (phi_prev + 0.05, state)
+        report = verify_result(replace(result, sampled_pairs=pairs), directions=2)
+        assert not report.gradient_ok and not report.ok
+        assert report.monotone_ok and report.identity_ok and report.scheme_ok
+        assert report.max_gradient > 1e-4
+        assert len(report.messages) == 1
+        assert report.messages[0].startswith("gradient-flow check failed at step 3: ")
+
     def test_tampered_energy_is_flagged(self):
         result = self.clean_result()
         energy_series = result.energy.copy()

@@ -315,6 +315,13 @@ class TestTextFormat:
         with pytest.raises(MeshFormatError, match="node 2, but only 0 nodes"):
             load_mesh(path)
 
+    def test_mesh_without_triangles(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text("nodes 3\n0 0\n1 0\n0 1\ntriangles 0\nboundary 0\n")
+        with pytest.raises(MeshFormatError, match=re.escape(
+                f"{path}: mesh needs at least one triangle and three nodes")):
+            load_mesh(path)
+
     def test_degenerate_rejected(self, tmp_path):
         path = tmp_path / "mesh.txt"
         path.write_text(

@@ -16,7 +16,7 @@ from viscofem.mesh import MeshGeometry, build_unit_square, classify_boundary
 from viscofem import solver
 from viscofem.csr import _SPARSETOOLS, load_extension
 from viscofem.solver import SolveReport, SolverError, factorize, solve_spd
-from viscofem.tensors import Material, StepParams
+from viscofem.tensors import Material, StepParams, isotropic
 
 from oracles import as_csr, dense_spd_solve, interpolate
 
@@ -29,7 +29,7 @@ def reduced_patch_system(n=3, gamma0="all"):
     g = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
     ds = build_dirichlet(mesh, g)
     bd = BoundaryData(g=g, q=[0.0, 0.0], f=[0.0, 0.0])
-    system = assemble_stiffness(geom, ds).system(UNIT)
+    system = assemble_stiffness(geom, ds).system(isotropic(UNIT.lam, UNIT.mu))
     return mesh, system, system.reduce_rhs(load_vector(geom, bd)), g
 
 
@@ -151,9 +151,10 @@ def plain_and_condensed(m, tau, n):
     geom = MeshGeometry(mesh)
     g = AffineMap([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
     stiffness = assemble_stiffness(geom, build_dirichlet(mesh, g))
-    plain = stiffness.system(m)
+    s = StepParams.from_material(m, tau)
+    plain = stiffness.system(s.C)
     rhs = plain.reduce_rhs(load_vector(geom, BoundaryData(g=g, q=[0.0, 0.0], f=[0.0, -1.0])))
-    return plain, stiffness.system(StepParams.from_material(m, tau).condensed), rhs
+    return plain, stiffness.system(s.condensed), rhs
 
 
 class TestPreconditionedCG:

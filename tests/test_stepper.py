@@ -353,6 +353,19 @@ class TestRunBookkeeping:
         with pytest.raises(ValueError, match="sample"):
             sim.run(sample_steps=(11,))
 
+    @pytest.mark.parametrize("steps,named", [((5, 2.7), "[2.7]"), (("3", 5), "['3']"),
+                                             (np.array([2.0, 5.0]), "2.0")])
+    def test_sample_steps_must_be_integers(self, steps, named):
+        # neither truncated (2.7 -> 2) nor coerced ('3' -> 3)
+        _, sim = self.small_run()
+        with pytest.raises(ValueError, match=re.escape(named) + ".* are not integers"):
+            sim.run(sample_steps=steps)
+
+    def test_integer_array_of_sample_steps(self):
+        _, sim = self.small_run()
+        result = sim.run(sample_steps=np.array([1, 5], dtype=np.int64))
+        assert sorted(result.sampled_pairs) == [1, 5]
+
     def test_default_sample_steps(self):
         assert default_sample_steps(100) == (10, 50, 100)
         assert default_sample_steps(200) == (20, 100, 200)
@@ -421,6 +434,11 @@ class TestValidation:
                         cadence=0)
         with pytest.raises(ValueError, match=re.escape(message)):
             Simulation(cfg)
+
+    @pytest.mark.parametrize("spec", [MeshSpec(), MeshSpec(n=3, path="m.txt")])
+    def test_mesh_spec_needs_one_source(self, spec):
+        with pytest.raises(ValueError, match="exactly one of n or path"):
+            spec.build()
 
     def test_inadmissible_material_rejected(self):
         cfg = make_config(mu=-1.0)

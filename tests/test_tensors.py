@@ -25,7 +25,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from viscofem.tensors import (
     DDOT_WEIGHTS,
-    Lame,
     Material,
     StepParams,
     isotropic,
@@ -52,10 +51,10 @@ from oracles import (
 UNIT = Material(lam=1.0, mu=1.0, eta=1.0, alpha=0.0)
 IDENTITY = np.array([1.0, 1.0, 0.0])
 
-# the matrices a StepParams holds, by name; the condensed one as isotropic(pair)
+# the matrices a StepParams holds, by name
 STEP_MATRICES = {
     "C": lambda s: s.C,
-    "condensed": lambda s: isotropic(s.condensed),
+    "condensed": lambda s: s.condensed,
     "drag": lambda s: s.drag,
     "update_strain": lambda s: s.update_strain,
     "update_prev": lambda s: s.update_prev,
@@ -122,16 +121,16 @@ def assert_matches_oracle(matrix_of, oracle, seed):
 
 class TestPinnedValues:
     def test_elasticity_uniaxial(self):
-        out = np.array([1.0, 0.0, 0.0]) @ isotropic(UNIT)
+        out = np.array([1.0, 0.0, 0.0]) @ isotropic(1.0, 1.0)
         assert_allclose(out, [3.0, 1.0, 0.0], rtol=0, atol=0)
-        assert_array_equal(StepParams.from_material(UNIT, tau=1.0).C, isotropic(UNIT))
+        assert_array_equal(StepParams.from_material(UNIT, tau=1.0).C, isotropic(1.0, 1.0))
 
     def test_step_inverse_identity(self):
         # lam = mu = eta = 1, tau = 1, alpha = 0: R has eigenvalues 3 (shear)
         # and 5 (trace), so R^-1 is the pair (1/5 - 1/3) / 2, 1/6
         s = StepParams.from_material(UNIT, tau=1.0)
         assert s.d == 1.0
-        assert_allclose(step_inverse(s), isotropic(Lame(-1.0 / 15.0, 1.0 / 6.0)), rtol=1e-15)
+        assert_allclose(step_inverse(s), isotropic(-1.0 / 15.0, 1.0 / 6.0), rtol=1e-15)
         assert_allclose(IDENTITY @ step_inverse(s), IDENTITY / 5.0, rtol=1e-15)
 
     def test_step_inverse_shear(self):
@@ -151,9 +150,10 @@ class TestPinnedValues:
         # C (e - R^-1 C e) = C (4/15, -1/15, 0) = (11/15, 1/15, 0),
         # which is the pair (1/15, 1/3); with alpha = 0 the drag is the same
         s = StepParams.from_material(UNIT, tau=1.0)
-        assert s.condensed == pytest.approx((1.0 / 15.0, 1.0 / 3.0), rel=1e-15)
-        assert_allclose(s.drag, isotropic(Lame(1.0 / 15.0, 1.0 / 3.0)), rtol=1e-15)
-        out = np.array([1.0, 0.0, 0.0]) @ isotropic(s.condensed)
+        pair = (s.condensed[0, 1], s.condensed[2, 2] / 2.0)
+        assert pair == pytest.approx((1.0 / 15.0, 1.0 / 3.0), rel=1e-15)
+        assert_allclose(s.drag, isotropic(1.0 / 15.0, 1.0 / 3.0), rtol=1e-15)
+        out = np.array([1.0, 0.0, 0.0]) @ s.condensed
         assert_allclose(out, [11.0 / 15.0, 1.0 / 15.0, 0.0], rtol=1e-14)
         # the update: phi = e C R^-1 + phi_prev d R^-1, so from phi_prev = 0
         # it is R^-1 C e
@@ -161,7 +161,7 @@ class TestPinnedValues:
                         [11.0 / 15.0, 1.0 / 15.0, 0.0], rtol=1e-14)
 
     def test_stress_is_elasticity_of_difference(self):
-        C = isotropic(UNIT)
+        C = isotropic(1.0, 1.0)
         e = np.array([1.0, 0.0, 0.0])
         st = stress(C, e, np.zeros(3))
         assert_allclose(st.sigma, [3.0, 1.0, 0.0], rtol=0)
@@ -171,7 +171,7 @@ class TestPinnedValues:
 
     def test_c_inner_uniaxial(self):
         e = np.array([1.0, 0.0, 0.0])
-        assert ddot(e @ isotropic(UNIT), e) == pytest.approx(3.0, abs=0)
+        assert ddot(e @ isotropic(1.0, 1.0), e) == pytest.approx(3.0, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +186,14 @@ class TestMatrixOracle:
             m = random_material(rng)
             M = elasticity_matrix(m.lam, m.mu)
             X = rng.standard_normal(3)
-            assert_allclose(X @ isotropic(m), apply_matrix(M, X), rtol=1e-13, atol=1e-13)
-            assert_allclose(X @ isotropic(m), apply_C(m, X), rtol=1e-13, atol=1e-13)
+            assert_allclose(X @ isotropic(m.lam, m.mu), apply_matrix(M, X), rtol=1e-13, atol=1e-13)
+            assert_allclose(X @ isotropic(m.lam, m.mu), apply_C(m.lam, m.mu, X), rtol=1e-13,
+                            atol=1e-13)
 
     def test_effective_matches_exact_rational_matrix(self):
         # 100 random rational parameter sets, condensed operator C (I - R^-1 C)
-        # formed and inverted exactly by sympy, against the condensed pair
-        assert_matches_oracle(lambda s: isotropic(s.condensed), effective_matrix, seed=11)
+        # formed and inverted exactly by sympy, against the condensed matrix
+        assert_matches_oracle(lambda s: s.condensed, effective_matrix, seed=11)
 
     def test_step_inverse_matches_exact_rational_matrix(self):
         assert_matches_oracle(step_inverse, step_inverse_matrix, seed=12)
@@ -229,17 +230,17 @@ class TestRandomAdmissible:
     def test_matrices_apply_as_closed_form(self, m, tau, l, mu):
         X = np.random.default_rng(0).standard_normal((8, 3))
         # any Lame pair, and the elasticity of the material
-        for pair in (Lame(l, mu), m):
-            assert_allclose(X @ isotropic(pair), apply_C(pair, X), rtol=1e-14, atol=1e-14 * (
-                abs(pair.lam) + abs(pair.mu)))
+        for pair in ((l, mu), (m.lam, m.mu)):
+            assert_allclose(X @ isotropic(*pair), apply_C(*pair, X), rtol=1e-14, atol=1e-14 * (
+                abs(pair[0]) + abs(pair[1])))
         # every step matrix is the matrix of the Lame pair on its entries
         s = StepParams.from_material(m, tau)
         for name, matrix_of in STEP_MATRICES.items():
             M = matrix_of(s)
-            pair = Lame(M[0, 1], M[2, 2] / 2.0)
-            assert_allclose(X @ M, apply_C(pair, X), rtol=1e-13, atol=1e-13 * np.abs(M).max(),
+            pair = (M[0, 1], M[2, 2] / 2.0)
+            assert_allclose(X @ M, apply_C(*pair, X), rtol=1e-13, atol=1e-13 * np.abs(M).max(),
                             err_msg=name)
-            assert_array_equal(M, isotropic(pair), err_msg=name)
+            assert_array_equal(M, isotropic(*pair), err_msg=name)
 
     @EXAMPLES
     @given(m=MATERIALS, tau=TAUS)
@@ -310,7 +311,7 @@ class TestProperties:
     def test_c_inner_symmetric_positive(self):
         rng = np.random.default_rng(5)
         m = random_material(rng)
-        C = isotropic(m)
+        C = isotropic(m.lam, m.mu)
         X, Y = random_tensors(rng, 500), random_tensors(rng, 500)
         assert_allclose(ddot(X @ C, Y), ddot(Y @ C, X), rtol=1e-13, atol=1e-13)
         assert np.all(ddot(X @ C, X) > 0.0)
@@ -321,7 +322,7 @@ class TestProperties:
         W = np.diag(DDOT_WEIGHTS)
         for _ in range(50):
             m = random_material(rng)
-            K = W @ isotropic(m)
+            K = W @ isotropic(m.lam, m.mu)
             eigs = scipy.linalg.eigh(K, W, eigvals_only=True)
             expected = min(2.0 * m.mu, 2.0 * m.mu + 2.0 * m.lam)
             assert eigs.min() >= expected - 1e-10 * max(1.0, abs(expected))
@@ -333,7 +334,7 @@ class TestProperties:
             m = random_material(rng)
             s = StepParams.from_material(m, tau=rng.uniform(1e-3, 1.0))
             X = random_tensors(rng, 200)
-            assert np.all(ddot(X @ isotropic(s.condensed), X) > 0.0)
+            assert np.all(ddot(X @ s.condensed, X) > 0.0)
 
     def test_field_shapes_pass_through(self):
         # a (n, 3) per-element field and one tensor give bitwise the same
@@ -388,7 +389,7 @@ class TestTypes:
             m = random_material(rng)
             s = StepParams.from_material(m, tau=rng.uniform(1e-4, 10.0))
             # an isotropic matrix is positive definite when both eigenvalues
-            # are: 2*mu = M[2, 2] (shear) and DIM*lam + 2*mu = M[0, 0] + M[0, 1]
+            # are: 2*mu = M[2, 2] (shear) and 2*lam + 2*mu = M[0, 0] + M[0, 1]
             for matrix_of in STEP_MATRICES.values():
                 M = matrix_of(s)
                 assert M[2, 2] > 0.0 and M[0, 0] + M[0, 1] > 0.0
